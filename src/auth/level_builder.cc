@@ -5,22 +5,6 @@
 #include "crypto/merkle.h"
 
 namespace elsm::auth {
-namespace {
-
-// Walks groups of equal keys in a sorted run, invoking `fn(first, last)`
-// (half-open indices) per group.
-template <typename GetKey, typename Fn>
-void ForEachGroup(size_t n, GetKey&& key_of, Fn&& fn) {
-  size_t i = 0;
-  while (i < n) {
-    size_t j = i + 1;
-    while (j < n && key_of(j) == key_of(i)) ++j;
-    fn(i, j);
-    i = j;
-  }
-}
-
-}  // namespace
 
 void RunDigester::Add(const lsm::Record& record, std::string_view core) {
   if (!in_group_ || record.key != current_key_) {
@@ -59,7 +43,11 @@ Status SealBuilder::AddGroup(const std::vector<lsm::Record>& group,
     EmbeddedProof proof;
     proof.leaf_index = leaf_index;
     proof.suffix = suffixes[i];
-    proof_blobs->push_back(proof.Encode());
+    if (embed_full_paths_) {
+      pending_.push_back(std::move(proof));  // path known only at Finish
+    } else {
+      proof_blobs->push_back(proof.Encode());
+    }
     enclave_->ChargeHash(encodings[i].size() + 33);
   }
   leaves_.push_back(crypto::ChainDigest(encodings));
@@ -77,58 +65,12 @@ Result<lsm::CompactionSeal> SealBuilder::Finish() {
   seal.tree_payload = TreeFile::Serialize(tree);
   // The sidecar is recomputed above; charge the duplicate interior pass.
   enclave_->ChargeHash(seal.leaf_count * 32);
-  return seal;
-}
-
-LevelDigest DigestRun(const std::vector<lsm::RawEntry>& run,
-                      sgx::Enclave& enclave) {
-  RunDigester digester(&enclave);
-  for (const lsm::RawEntry& e : run) digester.Add(e.record, e.core);
-  return digester.Finish();
-}
-
-Result<lsm::CompactionSeal> BuildLevelSeal(
-    const std::vector<lsm::Record>& output, sgx::Enclave& enclave,
-    bool embed_full_paths) {
-  lsm::CompactionSeal seal;
-  if (output.empty()) return seal;
-
-  // Pass 1: canonical encodings + chain suffixes + leaves.
-  std::vector<std::string> cores;
-  cores.reserve(output.size());
-  for (const lsm::Record& r : output) cores.push_back(r.EncodeCore());
-
-  std::vector<crypto::Hash256> leaves;
-  std::vector<EmbeddedProof> proofs(output.size());
-  ForEachGroup(
-      output.size(),
-      [&](size_t i) -> const std::string& { return output[i].key; },
-      [&](size_t first, size_t last) {
-        std::vector<std::string> encodings(cores.begin() + first,
-                                           cores.begin() + last);
-        const auto suffixes = crypto::ChainSuffixes(encodings);
-        const uint64_t leaf_index = leaves.size();
-        for (size_t i = first; i < last; ++i) {
-          proofs[i].leaf_index = leaf_index;
-          proofs[i].suffix = suffixes[i - first];
-          enclave.ChargeHash(cores[i].size() + 33);
-        }
-        leaves.push_back(crypto::ChainDigest(encodings));
-      });
-
-  enclave.ChargeHash(leaves.size() * 64);  // interior-node hashing
-  crypto::MerkleTree tree(std::move(leaves));
-  seal.root = tree.root();
-  seal.leaf_count = tree.leaf_count();
-  seal.tree_payload = TreeFile::Serialize(tree);
-  // The sidecar is recomputed above; charge the duplicate interior pass.
-  enclave.ChargeHash(seal.leaf_count * 32);
-
-  seal.proof_blobs.reserve(output.size());
-  for (size_t i = 0; i < output.size(); ++i) {
-    if (embed_full_paths) proofs[i].path = tree.Path(proofs[i].leaf_index);
-    seal.proof_blobs.push_back(proofs[i].Encode());
+  seal.proof_blobs.reserve(pending_.size());
+  for (EmbeddedProof& proof : pending_) {
+    proof.path = tree.Path(proof.leaf_index);
+    seal.proof_blobs.push_back(proof.Encode());
   }
+  pending_.clear();
   return seal;
 }
 

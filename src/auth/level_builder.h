@@ -11,6 +11,7 @@
 #include <string_view>
 #include <vector>
 
+#include "auth/proof.h"
 #include "common/status.h"
 #include "lsm/engine.h"
 #include "sgxsim/enclave.h"
@@ -22,10 +23,11 @@ struct LevelDigest {
   uint64_t leaf_count = 0;
 };
 
-// Incremental form of DigestRun: feed the run's records in order (key asc,
-// ts desc); per-key chains seal as the key changes, so only the current
-// group's encodings are ever buffered. Finish() builds the Merkle root over
-// the accumulated 32-byte leaves.
+// Digest of one sorted run, fed record by record in order (key asc, ts
+// desc) — used to re-authenticate compaction *inputs* against the
+// enclave-held root (Fig. 4 lines 31-33). Per-key chains seal as the key
+// changes, so only the current group's encodings are ever buffered.
+// Finish() builds the Merkle root over the accumulated 32-byte leaves.
 class RunDigester {
  public:
   explicit RunDigester(sgx::Enclave* enclave) : enclave_(enclave) {}
@@ -43,14 +45,17 @@ class RunDigester {
   std::vector<crypto::Hash256> leaves_;
 };
 
-// Incremental form of BuildLevelSeal for the streaming compaction path:
-// AddGroup() seals one merged key group (newest-first) and emits its proof
-// blobs immediately; Finish() returns root/leaf_count/tree sidecar. Only
-// valid without embed_full_paths — full Merkle paths need the finished
-// tree, i.e. the buffered protocol.
+// Seal of compaction *output*, fed one merged key group (newest-first) at a
+// time: AddGroup() chains the group into one leaf; Finish() returns
+// root/leaf_count/tree sidecar. By default each group's proof blobs
+// ({leaf_index, suffix}) are emitted immediately. With `embed_full_paths`
+// (the paper's literal layout) a record's blob also carries its full
+// Merkle path, which needs the finished tree: AddGroup() then keeps the
+// {leaf_index, suffix} pairs and Finish() returns one blob per record.
 class SealBuilder {
  public:
-  explicit SealBuilder(sgx::Enclave* enclave) : enclave_(enclave) {}
+  explicit SealBuilder(sgx::Enclave* enclave, bool embed_full_paths = false)
+      : enclave_(enclave), embed_full_paths_(embed_full_paths) {}
 
   Status AddGroup(const std::vector<lsm::Record>& group,
                   std::vector<std::string>* proof_blobs);
@@ -58,19 +63,9 @@ class SealBuilder {
 
  private:
   sgx::Enclave* enclave_;
+  bool embed_full_paths_;
   std::vector<crypto::Hash256> leaves_;
+  std::vector<EmbeddedProof> pending_;  // embed_full_paths only
 };
-
-// Computes only the digest of a sorted run — used to re-authenticate
-// compaction *inputs* against the enclave-held root (Fig. 4 lines 31-33).
-LevelDigest DigestRun(const std::vector<lsm::RawEntry>& run,
-                      sgx::Enclave& enclave);
-
-// Computes the digest *and* the seal (proof blobs + sidecar) for compaction
-// output. `embed_full_paths` additionally embeds each record's full Merkle
-// path into its blob (the paper's literal layout).
-Result<lsm::CompactionSeal> BuildLevelSeal(
-    const std::vector<lsm::Record>& output, sgx::Enclave& enclave,
-    bool embed_full_paths);
 
 }  // namespace elsm::auth

@@ -6,11 +6,11 @@
 // The LsmEngine never learns what the seal means — exactly the RocksDB-
 // callback integration the paper claims.
 //
-// Two protocols: the default streaming protocol digests inputs entry by
-// entry and seals output groups as the merge produces them, so compaction
-// never buffers a whole level; embed_full_paths falls back to the buffered
-// protocol (OnInputRun/OnOutput) because a record's full Merkle path needs
-// the finished tree.
+// One streaming protocol: inputs are digested entry by entry and output
+// groups sealed as the merge produces them, so compaction never buffers a
+// whole level. With embed_full_paths a record's full Merkle path needs the
+// finished tree, so the listener defers its proofs: the blobs, paths
+// embedded, arrive with the seal from OnOutputEnd.
 #pragma once
 
 #include <string_view>
@@ -27,27 +27,13 @@ class AuthCompactionListener : public lsm::CompactionListener {
   AuthCompactionListener(sgx::Enclave* enclave, bool embed_full_paths)
       : enclave_(enclave), embed_full_paths_(embed_full_paths) {}
 
-  bool streaming() const override { return !embed_full_paths_; }
+  bool defers_proofs() const override { return embed_full_paths_; }
 
-  // --- buffered protocol (embed_full_paths; also callable directly) --------
-  Status OnInputRun(int src_depth, const std::vector<lsm::RawEntry>& run,
-                    const lsm::LevelMeta* meta) override {
-    if (src_depth < 0 || meta == nullptr) return Status::Ok();  // memtable
-    const LevelDigest digest = DigestRun(run, *enclave_);
-    return CheckDigest(digest, *meta, src_depth);
-  }
-
-  Result<lsm::CompactionSeal> OnOutput(
-      const std::vector<lsm::Record>& output) override {
-    return BuildLevelSeal(output, *enclave_, embed_full_paths_);
-  }
-
-  // --- streaming protocol --------------------------------------------------
   Status OnCompactionBegin(size_t run_count) override {
     inputs_.clear();
     inputs_.reserve(run_count);
     for (size_t i = 0; i < run_count; ++i) inputs_.emplace_back(enclave_);
-    seal_builder_ = SealBuilder(enclave_);
+    seal_builder_ = SealBuilder(enclave_, embed_full_paths_);
     return Status::Ok();
   }
 

@@ -34,7 +34,6 @@ lsm::LsmOptions MakeEngineOptions(const Options& o) {
   eo.read_cache_shards = o.read_cache_shards;
   eo.multiget_batching = o.multiget_batching;
   eo.scan_readahead_blocks = o.scan_readahead_blocks;
-  eo.compaction_readahead_files = o.compaction_readahead_files;
   // The facade persists the manifest; compacted-away files may only be
   // unlinked after the manifest dropping them is durable (crash safety),
   // so the engine parks them and the facade purges post-persist.
@@ -54,8 +53,9 @@ lsm::LsmOptions MakeEngineOptions(const Options& o) {
       eo.protect_blocks = false;
       // P2 blocks are plaintext in untrusted memory; verified cache
       // admission is what makes a buffer hit trustworthy. The unsecured
-      // baseline skips it (no integrity contract to uphold).
-      eo.verify_blocks = o.mode == Mode::kP2;
+      // baseline and an unauthenticated P2 store (the "SGX port without
+      // authentication") skip it: they carry no integrity contract.
+      eo.verify_blocks = o.mode == Mode::kP2 && o.authenticate_data;
       break;
   }
   return eo;
@@ -578,6 +578,11 @@ Status ElsmDb::UntransformRecord(lsm::Record* record) const {
   return Status::Ok();
 }
 
+bool ElsmDb::FlushDue() const {
+  return engine_->memtable_bytes() >= options_.memtable_bytes ||
+         engine_->wal_bytes() >= wal_bound();
+}
+
 Status ElsmDb::FlushInternal(bool only_if_full) {
   std::lock_guard<std::mutex> flush_lock(flush_mu_);
   // Early-out BEFORE demanding the exclusive db lock. Every writer in the
@@ -586,51 +591,84 @@ Status ElsmDb::FlushInternal(bool only_if_full) {
   // done they must leave without touching db_mu_ — an exclusive acquire
   // starves under continuous shared-holder (writer) traffic, and a convoy
   // of them collapses write concurrency to whatever two threads slip
-  // through. Atomic reads suffice here; the check repeats under the
-  // exclusive lock before anything irreversible.
-  if (only_if_full && engine_->memtable_bytes() < options_.memtable_bytes &&
-      engine_->wal_bytes() < wal_bound()) {
-    return Status::Ok();  // another writer flushed while we queued
-  }
+  // through. Atomic reads suffice here; RunFlush repeats the check under
+  // the exclusive lock before anything irreversible.
+  if (only_if_full && !FlushDue()) return Status::Ok();
+  return RunFlush(only_if_full ? FlushKind::kIfFull : FlushKind::kSync);
+}
+
+Status ElsmDb::RunFlush(FlushKind kind) {
+  // Truncating kinds keep writers quiesced from the seal through ResetWal;
+  // the async kind lets them proceed into the fresh memtable while the
+  // sealed one merges.
+  const bool truncate = kind != FlushKind::kAsync;
   if (options_.background_compaction) {
     // Drain the engine thread before taking db_mu_, so readers only ever
     // wait behind the bounded memtable->L1 merge, never a deep ripple.
     engine_->WaitForCompaction();
   }
   std::unique_lock<std::shared_mutex> lock(db_mu_);
-  if (only_if_full && engine_->memtable_bytes() < options_.memtable_bytes &&
-      engine_->wal_bytes() < wal_bound()) {
+  if (closed_) return Status::Ok();
+  if (kind == FlushKind::kIfFull && !FlushDue()) {
     return Status::Ok();  // flushed between the fast-path check and here
   }
-  Status s = engine_->Flush();
-  if (!s.ok()) return NoteWriteResult(std::move(s));
-  if (!options_.background_compaction) {
+  // Seal: quiescing writers (they hold db_mu_ shared across their whole
+  // commit) makes the seal a clean cut — every assigned timestamp has been
+  // committed or failed, so seal_ts covers exactly the sealed records and
+  // nothing the fresh active memtable will ever hold.
+  Status s;
+  if (truncate) {
+    s = engine_->Flush();  // drains an earlier seal, then seals and merges
+  } else if (!engine_->SealMemtable() && !engine_->HasImm()) {
+    return Status::Ok();  // nothing to flush
+  }
+  const uint64_t seal_ts = last_ts_.load(std::memory_order_relaxed);
+  if (!truncate) {
+    lock.unlock();  // the sealed memtable merges with no facade lock held
+    s = engine_->FlushImm();
+  }
+  if (s.ok() && kind == FlushKind::kCompactAll) {
+    s = engine_->CompactAll();
+  } else if (s.ok() && !options_.background_compaction) {
     s = engine_->MaybeCompact();
+  }
+  if (!s.ok()) return NoteWriteResult(std::move(s));
+  if (!truncate) {
+    lock.lock();
+    if (closed_) return Status::Ok();
+  }
+  // Crash ordering: every record at/below seal_ts is now in the level
+  // stack. A truncating flush persists a manifest recording the
+  // post-truncation WAL state (empty digest, flushed_ts_ high water)
+  // *before* truncating the WAL; a crash in between leaves stale frames
+  // behind that ReplayWal skips. The live wal_digest_ resets only once both
+  // steps succeeded, so a transient persist/truncate failure leaves digest
+  // and WAL still in agreement. The async flush persists the *live* digest
+  // instead: concurrent writers appended past the sealed prefix, so the
+  // whole WAL stays; recovery skips frames at/below flushed_ts and replays
+  // only the newer ones. Its growth is bounded by the forced truncating
+  // flush in MaybeScheduleFlush once it exceeds wal_bound().
+  if (seal_ts > flushed_ts_) flushed_ts_ = seal_ts;
+  if (kind == FlushKind::kCompactAll || options_.persist_manifest_on_flush) {
+    s = truncate ? PersistManifest(crypto::kZeroHash, 0) : PersistManifest();
     if (!s.ok()) return NoteWriteResult(std::move(s));
   }
-  // Crash ordering: every record at/below last_ts_ is now in the level
-  // stack, so persist a manifest recording the post-truncation WAL state
-  // (empty digest, flushed_ts_ high water) *before* truncating the WAL. A
-  // crash in between leaves stale frames behind; ReplayWal skips them. The
-  // live wal_digest_ resets only once both steps succeeded, so a transient
-  // persist/truncate failure leaves digest and WAL still in agreement.
-  flushed_ts_ = last_ts_;
-  if (options_.persist_manifest_on_flush) {
-    s = PersistManifest(crypto::kZeroHash, 0);
-    if (!s.ok()) return NoteWriteResult(std::move(s));
+  if (truncate) {
+    s = engine_->ResetWal();
+    if (!s.ok()) {
+      // The unlink may have landed before a later barrier of the reset
+      // failed; the live digest must keep matching the on-disk WAL either
+      // way, or a later Close() would seal coverage of vanished frames.
+      if (!fs_->Exists(options_.name + "/wal")) wal_digest_.Reset();
+      return NoteWriteResult(std::move(s));
+    }
+    wal_digest_.Reset();
   }
-  s = engine_->ResetWal();
-  if (!s.ok()) {
-    // The unlink may have landed before a later barrier of the reset
-    // failed; the live digest must keep matching the on-disk WAL either
-    // way, or a later Close() would seal coverage of vanished frames.
-    if (!fs_->Exists(options_.name + "/wal")) wal_digest_.Reset();
-    return NoteWriteResult(std::move(s));
-  }
-  wal_digest_.Reset();
   engine_->PurgeObsoleteFiles();
   lock.unlock();
-  if (options_.background_compaction) engine_->ScheduleCompaction();
+  if (options_.background_compaction && kind != FlushKind::kCompactAll) {
+    engine_->ScheduleCompaction();
+  }
   return Status::Ok();
 }
 
@@ -654,45 +692,7 @@ Status ElsmDb::MaybeScheduleFlush() {
 
 Status ElsmDb::AsyncFlushOnce() {
   std::lock_guard<std::mutex> flush_lock(flush_mu_);
-  if (options_.background_compaction) engine_->WaitForCompaction();
-  uint64_t seal_ts = 0;
-  {
-    std::unique_lock<std::shared_mutex> lock(db_mu_);
-    if (closed_) return Status::Ok();
-    // Quiescing writers (they hold db_mu_ shared across their whole
-    // commit) makes the seal a clean cut: every assigned timestamp has
-    // been committed or failed, so seal_ts covers exactly the sealed
-    // records and nothing the fresh active memtable will ever hold.
-    const bool sealed = engine_->SealMemtable();
-    if (!sealed && !engine_->HasImm()) return Status::Ok();
-    seal_ts = last_ts_.load(std::memory_order_relaxed);
-  }
-  // Writers proceed into the fresh active memtable from here on; the
-  // sealed one is immutable and merges without any facade lock held.
-  Status s = engine_->FlushImm();
-  if (!s.ok()) return NoteWriteResult(std::move(s));
-  if (!options_.background_compaction) {
-    s = engine_->MaybeCompact();
-    if (!s.ok()) return NoteWriteResult(std::move(s));
-  }
-  {
-    std::unique_lock<std::shared_mutex> lock(db_mu_);
-    if (closed_) return Status::Ok();
-    if (seal_ts > flushed_ts_) flushed_ts_ = seal_ts;
-    if (options_.persist_manifest_on_flush) {
-      // Persist the *live* digest: unlike the synchronous path, the WAL is
-      // not truncated here — concurrent writers appended past the sealed
-      // prefix, so the whole file stays; recovery skips frames at/below
-      // flushed_ts (already in a level) and replays only the newer ones.
-      // The WAL's growth is bounded by the forced synchronous flush in
-      // MaybeScheduleFlush once it exceeds wal_bound().
-      s = PersistManifest();
-      if (!s.ok()) return NoteWriteResult(std::move(s));
-    }
-    engine_->PurgeObsoleteFiles();
-  }
-  if (options_.background_compaction) engine_->ScheduleCompaction();
-  return Status::Ok();
+  return RunFlush(FlushKind::kAsync);
 }
 
 void ElsmDb::FlushWorker() {
@@ -779,6 +779,18 @@ void ElsmDb::RecordOpStat(Histogram OpStats::*h, uint64_t latency_ns) {
 }
 
 Status ElsmDb::Put(std::string_view key, std::string_view value) {
+  WriteBatch batch;
+  batch.Put(key, value);
+  return Write(batch);
+}
+
+Status ElsmDb::Delete(std::string_view key) {
+  WriteBatch batch;
+  batch.Delete(key);
+  return Write(batch);
+}
+
+Status ElsmDb::Write(const WriteBatch& batch) {
   const uint64_t start = enclave_->now_ns();
   bool need_flush = false;
   {
@@ -788,55 +800,6 @@ Status ElsmDb::Put(std::string_view key, std::string_view value) {
     // in-flight writer. The WAL digest is maintained by the commit hook
     // (see the constructor) after the cohort is durable, so a failed
     // append never leaves the in-enclave digest ahead of the real WAL.
-    std::shared_lock<std::shared_mutex> lock(db_mu_);
-    enclave_->ChargeEcall();
-    if (degraded()) {
-      return Status::CapacityExceeded(
-          "store is in read-only degraded mode (call TryResume)");
-    }
-    lsm::Record record;
-    record.ts = ++last_ts_;
-    record.key = TransformKey(key);
-    record.value = TransformValue(value, record.ts);
-    record.type = lsm::RecordType::kValue;
-    Status s = engine_->Put(std::move(record));
-    if (!s.ok()) return NoteWriteResult(std::move(s));
-    need_flush = engine_->memtable_bytes() >= options_.memtable_bytes ||
-                 (options_.async_flush && engine_->wal_bytes() >= wal_bound());
-  }
-  Status s = need_flush ? MaybeScheduleFlush() : Status::Ok();
-  RecordOpStat(&OpStats::put, enclave_->now_ns() - start);
-  return s;
-}
-
-Status ElsmDb::Delete(std::string_view key) {
-  const uint64_t start = enclave_->now_ns();
-  bool need_flush = false;
-  {
-    std::shared_lock<std::shared_mutex> lock(db_mu_);
-    enclave_->ChargeEcall();
-    if (degraded()) {
-      return Status::CapacityExceeded(
-          "store is in read-only degraded mode (call TryResume)");
-    }
-    lsm::Record record;
-    record.ts = ++last_ts_;
-    record.key = TransformKey(key);
-    record.type = lsm::RecordType::kTombstone;
-    Status s = engine_->Put(std::move(record));
-    if (!s.ok()) return NoteWriteResult(std::move(s));
-    need_flush = engine_->memtable_bytes() >= options_.memtable_bytes ||
-                 (options_.async_flush && engine_->wal_bytes() >= wal_bound());
-  }
-  Status s = need_flush ? MaybeScheduleFlush() : Status::Ok();
-  RecordOpStat(&OpStats::put, enclave_->now_ns() - start);
-  return s;
-}
-
-Status ElsmDb::Write(const WriteBatch& batch) {
-  const uint64_t start = enclave_->now_ns();
-  bool need_flush = false;
-  {
     std::shared_lock<std::shared_mutex> lock(db_mu_);
     enclave_->ChargeEcall();
     if (degraded()) {
@@ -879,44 +842,7 @@ std::optional<lsm::Record> ElsmDb::UnverifiedResult(
 
 Result<ElsmDb::VerifiedRecord> ElsmDb::GetVerified(std::string_view key,
                                                    uint64_t ts_max) {
-  std::shared_lock<std::shared_mutex> lock(db_mu_);
-  const uint64_t start = enclave_->now_ns();
-  enclave_->ChargeEcall();
-  const std::string lookup_key = TransformKey(key);
-
-  auto resp = engine_->Get(lookup_key, ts_max);
-  if (!resp.ok()) return resp.status();
-
-  VerifiedRecord out;
-  if (options_.mode == Mode::kP2 && options_.authenticate_data &&
-      options_.verify_reads) {
-    // Assemble and verify against the snapshot the lookup ran on — the live
-    // stack may already belong to a newer version mid-compaction.
-    const std::vector<lsm::LevelMeta>& levels =
-        resp.value().snapshot->levels();
-    auto assembled = assembler_->AssembleGet(resp.value(), levels);
-    if (!assembled.ok()) return assembled.status();
-    out.proof_bytes = assembled.value().proof_bytes;
-    auto verified =
-        verifier_.VerifyGet(lookup_key, ts_max, assembled.value(), levels);
-    if (!verified.ok()) return verified.status();
-    out.record = std::move(verified).value();
-    out.verified = true;
-    {
-      std::lock_guard<std::mutex> stats_lock(stats_mu_);
-      op_stats_.proof_bytes += out.proof_bytes;
-      ++op_stats_.verified_ops;
-    }
-  } else {
-    out.record = UnverifiedResult(resp.value());
-  }
-
-  if (out.record.has_value()) {
-    Status s = UntransformRecord(&*out.record);
-    if (!s.ok()) return s;
-  }
-  RecordOpStat(&OpStats::get, enclave_->now_ns() - start);
-  return out;
+  return std::move(MultiGetVerified({std::string(key)}, ts_max).front());
 }
 
 std::vector<Result<ElsmDb::VerifiedRecord>> ElsmDb::MultiGetVerified(
@@ -946,7 +872,8 @@ std::vector<Result<ElsmDb::VerifiedRecord>> ElsmDb::MultiGetVerified(
     VerifiedRecord rec;
     if (verify) {
       // Every response carries the same snapshot; each key is assembled
-      // and verified independently against it, exactly like GetVerified.
+      // and verified independently against it — never against the live
+      // stack, which may already belong to a newer version mid-compaction.
       const std::vector<lsm::LevelMeta>& levels =
           items[i].response.snapshot->levels();
       auto assembled = assembler_->AssembleGet(items[i].response, levels);
@@ -1008,13 +935,9 @@ Result<std::vector<std::optional<std::string>>> ElsmDb::MultiGet(
 }
 
 Result<std::optional<std::string>> ElsmDb::Get(std::string_view key) {
-  auto result = GetVerified(key, kLatest);
-  if (!result.ok()) return result.status();
-  auto& record = result.value().record;
-  if (!record.has_value() || record->deleted()) {
-    return std::optional<std::string>(std::nullopt);
-  }
-  return std::optional<std::string>(std::move(record->value));
+  auto values = MultiGet({std::string(key)});
+  if (!values.ok()) return values.status();
+  return std::move(values.value().front());
 }
 
 Result<std::vector<lsm::Record>> ElsmDb::Scan(std::string_view k1,
@@ -1075,28 +998,7 @@ Status ElsmDb::Flush() { return FlushInternal(/*only_if_full=*/false); }
 
 Status ElsmDb::CompactAll() {
   std::lock_guard<std::mutex> flush_lock(flush_mu_);
-  if (options_.background_compaction) engine_->WaitForCompaction();
-  std::unique_lock<std::shared_mutex> lock(db_mu_);
-  Status s = engine_->Flush();
-  if (!s.ok()) return NoteWriteResult(std::move(s));
-  s = engine_->CompactAll();
-  if (!s.ok()) return NoteWriteResult(std::move(s));
-  // Same crash ordering as FlushInternal: manifest (recording the emptied
-  // WAL) first, WAL truncation next, live digest reset only on success.
-  flushed_ts_ = last_ts_;
-  s = PersistManifest(crypto::kZeroHash, 0);
-  if (!s.ok()) return NoteWriteResult(std::move(s));
-  s = engine_->ResetWal();
-  if (!s.ok()) {
-    // The unlink may have landed before a later barrier of the reset
-    // failed; the live digest must keep matching the on-disk WAL either
-    // way, or a later Close() would seal coverage of vanished frames.
-    if (!fs_->Exists(options_.name + "/wal")) wal_digest_.Reset();
-    return NoteWriteResult(std::move(s));
-  }
-  wal_digest_.Reset();
-  engine_->PurgeObsoleteFiles();
-  return Status::Ok();
+  return RunFlush(FlushKind::kCompactAll);
 }
 
 void ElsmDb::ScheduleCompaction() { engine_->ScheduleCompaction(); }

@@ -62,12 +62,15 @@ class ElsmDb {
 
   ~ElsmDb();
 
+  // One-entry Writes.
   Status Put(std::string_view key, std::string_view value);
   Status Delete(std::string_view key);
 
-  // Atomic-ish batched writes (LevelDB-style WriteBatch): all entries are
-  // applied under one exclusive section with one trailing flush check, so a
-  // reader never observes a partially applied batch.
+  // Batched writes (LevelDB-style WriteBatch), the facade's one write path:
+  // the batch joins one group-commit request — one WAL append, one
+  // contiguous digest run, consecutive timestamps — with one trailing
+  // flush check. The commit leader inserts it under the engine's exclusive
+  // lock, so a reader never observes a partially applied batch.
   struct WriteBatch {
     void Put(std::string_view key, std::string_view value) {
       entries.push_back({std::string(key), std::string(value), false});
@@ -84,7 +87,8 @@ class ElsmDb {
   };
   Status Write(const WriteBatch& batch);
 
-  // Simple value lookup at the latest timestamp (nullopt = not found).
+  // Simple value lookup at the latest timestamp (nullopt = not found): a
+  // one-key MultiGet.
   Result<std::optional<std::string>> Get(std::string_view key);
 
   struct VerifiedRecord {
@@ -92,15 +96,16 @@ class ElsmDb {
     uint64_t proof_bytes = 0;
     bool verified = false;  // true iff the VRFY algorithm actually ran
   };
+  // A one-key MultiGetVerified.
   Result<VerifiedRecord> GetVerified(std::string_view key,
                                      uint64_t ts_max = kLatest);
 
-  // Batched point lookups: all keys resolve against ONE engine snapshot and
-  // the engine coalesces their cache-missing blocks into Fs::MultiRead
-  // batches (see Options::multiget_batching). Results are in key order;
-  // each key is assembled and verified independently, exactly like
-  // GetVerified — per-key error isolation, so one tampered block fails
-  // only the keys that need it.
+  // Point lookups, the facade's one read path: all keys resolve against ONE
+  // engine snapshot under one ECall, and the engine coalesces their
+  // cache-missing blocks into Fs::MultiRead batches (see
+  // Options::multiget_batching). Results are in key order; each key is
+  // assembled and verified independently — per-key error isolation, so one
+  // tampered block fails only the keys that need it.
   std::vector<Result<VerifiedRecord>> MultiGetVerified(
       const std::vector<std::string>& keys, uint64_t ts_max = kLatest);
 
@@ -217,22 +222,30 @@ class ElsmDb {
   // not reference (crashed compactions/flushes strand their outputs, and
   // parked-for-deletion inputs whose purge never ran).
   void GcOrphanFiles();
-  // The one flush path: serializes flushers, drains the engine thread
-  // *before* taking db_mu_ (so readers are never blocked behind a deep
-  // merge), flushes, and schedules/runs the ripple per the options.
+  // The synchronous flush: serializes on flush_mu_, leaves early (without
+  // touching db_mu_) when `only_if_full` and another writer already
+  // flushed, then runs RunFlush.
   Status FlushInternal(bool only_if_full);
+  // What RunFlush does after the seal. kSync/kIfFull merge the memtable and
+  // ripple, persist (per persist_manifest_on_flush) and truncate the WAL;
+  // kIfFull first re-checks FlushDue() under the lock. kAsync merges with
+  // writers running and persists the live WAL digest without truncating.
+  // kCompactAll merges the whole stack, always persists, and truncates.
+  enum class FlushKind { kSync, kIfFull, kAsync, kCompactAll };
+  // The one flush routine (caller holds flush_mu_): seal, merge, persist,
+  // truncate the WAL when asked, purge. Drains the engine thread *before*
+  // taking db_mu_, so readers are never blocked behind a deep merge, and
+  // schedules/runs the ripple per the options.
+  Status RunFlush(FlushKind kind);
+  // The active memtable is full or the WAL has outgrown wal_bound().
+  bool FlushDue() const;
   // Writer-path flush dispatch: synchronous FlushInternal when async_flush
   // is off; otherwise wakes the flush worker and returns immediately,
   // falling back to a synchronous flush only under back-pressure (active
   // memtable 4x over its limit — the worker cannot keep up) or once the
   // WAL outgrows wal_bound() and needs a truncating full flush.
   Status MaybeScheduleFlush();
-  // One background flush: seal the active memtable under a short exclusive
-  // section (writers then proceed into a fresh one), flush the sealed
-  // memtable with no facade lock held, and persist a manifest recording
-  // the *live* WAL digest (the WAL is not truncated — concurrent writers
-  // appended past the flushed prefix; recovery skips frames at/below
-  // flushed_ts).
+  // One background flush: RunFlush(kAsync) under flush_mu_.
   Status AsyncFlushOnce();
   void FlushWorker();
   void StopFlushWorker();

@@ -104,15 +104,12 @@ struct Options {
   // re-hash entirely. 0 disables the cache.
   size_t proof_path_cache_entries = 4096;
   // Batched read I/O (buffer read path only). multiget_batching collects
-  // every cache-missing candidate block of a MultiGet level pass into one
-  // Fs::MultiRead; scan_readahead_blocks pipelines verified scans by
-  // batch-reading the next N blocks the range walk will provably visit
-  // (0 disables). compaction_readahead_files batch-reads the next K input
-  // run files per opened compaction input (0 = legacy Blob path, which
-  // charges no file read — keep 0 for cost-model-faithful figures).
+  // the cache-missing candidate blocks of a MultiGet level pass that two
+  // or more keys consult into one Fs::MultiRead; scan_readahead_blocks
+  // pipelines verified scans by batch-reading the next N blocks the range
+  // walk will provably visit (0 disables).
   bool multiget_batching = true;
   uint64_t scan_readahead_blocks = 8;
-  uint64_t compaction_readahead_files = 0;
 
   // --- authentication (P2) -------------------------------------------------
   // Build the Merkle forest at all (false = a plain LSM store that still

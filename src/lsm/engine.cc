@@ -17,6 +17,26 @@ uint64_t KeyProbe(std::string_view key) {
   return h;
 }
 
+// The two locate steps every level search shares. FindFile: the first file
+// whose largest key is >= `key` (files.size() when none). FindBlock: the
+// last block of `file` whose first key is <= `key` (0 when none).
+size_t FindFile(const std::vector<FileMeta>& files, std::string_view key) {
+  return std::partition_point(
+             files.begin(), files.end(),
+             [key](const FileMeta& f) { return f.largest < key; }) -
+         files.begin();
+}
+
+size_t FindBlock(const FileMeta& file, std::string_view key) {
+  const size_t after = std::partition_point(
+                           file.blocks.begin(), file.blocks.end(),
+                           [key](const BlockHandle& b) {
+                             return b.first_key <= key;
+                           }) -
+                       file.blocks.begin();
+  return after == 0 ? 0 : after - 1;
+}
+
 }  // namespace
 
 LsmEngine::LsmEngine(LsmOptions options, std::shared_ptr<sgx::Enclave> enclave,
@@ -305,60 +325,21 @@ Status LsmEngine::CommitCohort(const std::vector<CommitRequest*>& cohort) {
 }
 
 Result<GetResponse> LsmEngine::Get(std::string_view key, uint64_t ts_max) {
-  stats_.gets.fetch_add(1, std::memory_order_relaxed);
-  PurgeDeadCaches();
-  GetResponse resp;
-  {
-    // L0: the in-enclave memtables are trusted; a hit stops the search. The
-    // active memtable is probed first, then the sealed (imm) one — every
-    // imm record is strictly older than every active record (the seal is a
-    // quiesced watermark), so an active hit is always the newest visible
-    // version. The shared lock covers only these probes plus the snapshot
-    // grab — the level search below runs lock-free against the immutable
-    // snapshot.
-    std::shared_lock<std::shared_mutex> lock(mu_);
-    enclave_->AccessRegion(memtable_region_,
-                           KeyProbe(key) % options_.memtable_bytes, 128);
-    if (const Record* r = memtable_->Find(key, ts_max)) {
-      resp.memtable_hit = *r;
-      resp.snapshot = version_;
-      return resp;
-    }
-    if (imm_ != nullptr) {
-      enclave_->AccessRegion(memtable_region_,
-                             KeyProbe(key) % options_.memtable_bytes, 128);
-      if (const Record* r = imm_->Find(key, ts_max)) {
-        resp.memtable_hit = *r;
-        resp.snapshot = version_;
-        return resp;
-      }
-    }
-    resp.snapshot = version_;
-  }
-
-  const std::vector<LevelMeta>& levels = resp.snapshot->levels();
-  for (size_t i = 0; i < levels.size(); ++i) {
-    ChargeMetadataAccess(i);
-    LevelGetResult lr;
-    lr.level_pos = i;
-    if (levels[i].files.empty() ||
-        (options_.use_bloom && !levels[i].bloom.MayContain(key))) {
-      lr.bloom_negative = true;
-      resp.levels.push_back(std::move(lr));
-      continue;
-    }
-    Status s = LookupInLevel(levels[i], key, ts_max, &lr);
-    if (!s.ok()) return s;
-    const bool stop = lr.found;
-    resp.levels.push_back(std::move(lr));
-    if (stop) break;  // early stop (§5.3): deeper levels are provably older
-  }
-  return resp;
+  std::vector<MultiGetItem> items = MultiGet({std::string(key)}, ts_max);
+  if (!items[0].status.ok()) return items[0].status;
+  return std::move(items[0].response);
 }
 
 std::string LsmEngine::BlockKey(const FileMeta& file,
                                 const BlockHandle& block) {
   return file.name + '#' + std::to_string(block.offset);
+}
+
+Status LsmEngine::CheckBlock(const BlockHandle& block,
+                             std::string_view bytes) const {
+  if (!options_.protect_blocks) return Status::Ok();
+  enclave_->ChargeCipher(bytes.size());
+  return VerifyBlockMac(bytes, options_.mac_key, block.mac);
 }
 
 Result<std::shared_ptr<const std::string>> LsmEngine::ReadBlock(
@@ -393,12 +374,8 @@ Result<std::shared_ptr<const std::string>> LsmEngine::ReadBlock(
     auto view = region->Read(block.offset, block.size);
     if (!view.ok()) return view.status();
     auto bytes = std::make_shared<const std::string>(view.value());
-    if (options_.protect_blocks) {
-      // SDK-style AES-GCM: decrypt + authenticate in one pass.
-      enclave_->ChargeCipher(bytes->size());
-      Status s = VerifyBlockMac(*bytes, options_.mac_key, block.mac);
-      if (!s.ok()) return s;
-    }
+    Status s = CheckBlock(block, *bytes);
+    if (!s.ok()) return s;
     return bytes;
   }
 
@@ -409,12 +386,8 @@ Result<std::shared_ptr<const std::string>> LsmEngine::ReadBlock(
   auto loader = [this, &file, &block]() -> Result<std::string> {
     auto bytes = fs_->Read(file.name, block.offset, block.size);
     if (!bytes.ok()) return bytes.status();
-    if (options_.protect_blocks) {
-      // SDK-style AES-GCM: decrypt + authenticate in one pass.
-      enclave_->ChargeCipher(bytes.value().size());
-      Status s = VerifyBlockMac(bytes.value(), options_.mac_key, block.mac);
-      if (!s.ok()) return s;
-    }
+    Status s = CheckBlock(block, bytes.value());
+    if (!s.ok()) return s;
     return bytes;
   };
   return read_buffer_->Get(
@@ -484,16 +457,12 @@ size_t LsmEngine::ReadBlockBatch(
     req.digest = options_.verify_blocks ? block->digest : crypto::kZeroHash;
     requests.push_back(std::move(req));
   }
-  // Post-I/O block decode shared by both loaders, identical to the
-  // sequential ReadBlock loader (P1 MAC check + cipher charge per block).
+  // Post-I/O block check shared by both loaders, identical to ReadBlock's.
   auto decode = [this](const BlockHandle& block,
                        Result<std::string> bytes) -> Result<std::string> {
     if (!bytes.ok()) return bytes;
-    if (options_.protect_blocks) {
-      enclave_->ChargeCipher(bytes.value().size());
-      Status s = VerifyBlockMac(bytes.value(), options_.mac_key, block.mac);
-      if (!s.ok()) return s;
-    }
+    Status s = CheckBlock(block, bytes.value());
+    if (!s.ok()) return s;
     return bytes;
   };
   auto batch_loader = [this, &todo, &decode](
@@ -527,26 +496,14 @@ size_t LsmEngine::ReadBlockBatch(
 void LsmEngine::PlanLookupBlocks(
     const LevelMeta& level, std::string_view key,
     std::vector<std::pair<const FileMeta*, const BlockHandle*>>* out) const {
-  // Mirrors LookupInLevel's binary searches: the first block the lookup
+  // Same locate steps as LookupInLevel: the first block the lookup
   // touches is the key's candidate block, or the boundary-witness blocks
   // (LastHead/FirstHead of the bracketing files) when the key misses every
   // file range. Follow-up singleton reads (succ in the next block) stay on
   // the sequential path — they are rare and data-dependent.
   const auto& files = level.files;
   if (files.empty()) return;
-  size_t fi = 0;
-  {
-    size_t lo = 0, hi = files.size();
-    while (lo < hi) {
-      const size_t mid = (lo + hi) / 2;
-      if (files[mid].largest < key) {
-        lo = mid + 1;
-      } else {
-        hi = mid;
-      }
-    }
-    fi = lo;
-  }
+  const size_t fi = FindFile(files, key);
   if (fi == files.size()) {
     if (!files.back().blocks.empty()) {
       out->emplace_back(&files.back(), &files.back().blocks.back());
@@ -564,20 +521,7 @@ void LsmEngine::PlanLookupBlocks(
   }
   const FileMeta& file = files[fi];
   if (file.blocks.empty()) return;
-  size_t bi = 0;
-  {
-    size_t lo = 0, hi = file.blocks.size();
-    while (lo < hi) {
-      const size_t mid = (lo + hi) / 2;
-      if (file.blocks[mid].first_key <= key) {
-        lo = mid + 1;
-      } else {
-        hi = mid;
-      }
-    }
-    bi = lo == 0 ? 0 : lo - 1;
-  }
-  out->emplace_back(&file, &file.blocks[bi]);
+  out->emplace_back(&file, &file.blocks[FindBlock(file, key)]);
 }
 
 std::vector<LsmEngine::MultiGetItem> LsmEngine::MultiGet(
@@ -589,9 +533,13 @@ std::vector<LsmEngine::MultiGetItem> LsmEngine::MultiGet(
   std::vector<bool> done(keys.size(), false);
   std::shared_ptr<const Version> snapshot;
   {
-    // One shared-lock pass probes the memtables for every key and grabs a
-    // single version snapshot — all keys are answered against the same
-    // level stack, with the same per-key charges as sequential Gets.
+    // L0: the in-enclave memtables are trusted; a hit stops the key's
+    // search. The active memtable is probed first, then the sealed (imm)
+    // one — every imm record is strictly older than every active record
+    // (the seal is a quiesced watermark), so an active hit is always the
+    // newest visible version. One shared-lock pass probes them for every
+    // key and grabs a single version snapshot; the level walk below runs
+    // lock-free against it, so all keys see the same level stack.
     std::shared_lock<std::shared_mutex> lock(mu_);
     for (size_t i = 0; i < keys.size(); ++i) {
       enclave_->AccessRegion(memtable_region_,
@@ -625,9 +573,8 @@ std::vector<LsmEngine::MultiGetItem> LsmEngine::MultiGet(
       if (!done[i]) active.push_back(i);
     }
     if (active.empty()) break;
-    // Pass 1 mirrors Get's per-key metadata charge + bloom skip, and plans
-    // the candidate blocks of every key that must consult this level.
-    std::vector<std::pair<const FileMeta*, const BlockHandle*>> plan;
+    // Pass 1: per-key metadata charge + trusted bloom skip (the filter
+    // lives in the enclave); collects the keys that must consult the level.
     std::vector<size_t> consult;
     for (size_t i : active) {
       ChargeMetadataAccess(li);
@@ -640,12 +587,14 @@ std::vector<LsmEngine::MultiGetItem> LsmEngine::MultiGet(
         continue;
       }
       consult.push_back(i);
-      if (batching) PlanLookupBlocks(levels[li], keys[i], &plan);
     }
-    // One MultiRead covers every cache-missing candidate block of this
-    // level across all keys; per-key lookups then consume the results.
+    // With two or more consulting keys, one MultiRead covers every
+    // cache-missing candidate block of this level; per-key lookups then
+    // consume the results. A lone key reads through ReadBlock directly.
     PrefetchedBlocks prefetched;
-    if (batching && !plan.empty()) {
+    if (batching && consult.size() >= 2) {
+      std::vector<std::pair<const FileMeta*, const BlockHandle*>> plan;
+      for (size_t i : consult) PlanLookupBlocks(levels[li], keys[i], &plan);
       const size_t fetched = ReadBlockBatch(plan, &prefetched);
       if (fetched > 0) {
         stats_.multiget_batches.fetch_add(1, std::memory_order_relaxed);
@@ -667,7 +616,8 @@ std::vector<LsmEngine::MultiGetItem> LsmEngine::MultiGet(
       }
       const bool stop = lr.found;
       out[i].response.levels.push_back(std::move(lr));
-      if (stop) done[i] = true;  // early stop, per key
+      // Early stop, per key (§5.3): deeper levels are provably older.
+      if (stop) done[i] = true;
     }
   }
   return out;
@@ -677,21 +627,7 @@ Status LsmEngine::LookupInLevel(const LevelMeta& level, std::string_view key,
                                 uint64_t ts_max, LevelGetResult* out,
                                 const PrefetchedBlocks* prefetched) const {
   const auto& files = level.files;
-  // First file whose range may contain `key`.
-  size_t fi = 0;
-  {
-    size_t lo = 0, hi = files.size();
-    while (lo < hi) {
-      const size_t mid = (lo + hi) / 2;
-      if (files[mid].largest < key) {
-        lo = mid + 1;
-      } else {
-        hi = mid;
-      }
-    }
-    fi = lo;
-  }
-
+  const size_t fi = FindFile(files, key);  // first file that may hold `key`
   if (fi == files.size()) {  // key beyond the whole level
     auto pred = LastHead(files.back(), prefetched);
     if (!pred.ok()) return pred.status();
@@ -711,21 +647,7 @@ Status LsmEngine::LookupInLevel(const LevelMeta& level, std::string_view key,
   }
 
   const FileMeta& file = files[fi];
-  // Last block whose first_key <= key.
-  size_t bi = 0;
-  {
-    size_t lo = 0, hi = file.blocks.size();
-    while (lo < hi) {
-      const size_t mid = (lo + hi) / 2;
-      if (file.blocks[mid].first_key <= key) {
-        lo = mid + 1;
-      } else {
-        hi = mid;
-      }
-    }
-    bi = lo == 0 ? 0 : lo - 1;
-  }
-
+  const size_t bi = FindBlock(file, key);
   auto parsed = ReadParsedBlock(file, file.blocks[bi], prefetched);
   if (!parsed.ok()) return parsed.status();
   const std::vector<BlockEntry>& entries = parsed.value().entries;
@@ -849,19 +771,7 @@ Status LsmEngine::ScanInLevel(const LevelMeta& level, std::string_view k1,
                               std::string_view k2,
                               LevelScanResult* out) const {
   const auto& files = level.files;
-  size_t fi = 0;
-  {
-    size_t lo = 0, hi = files.size();
-    while (lo < hi) {
-      const size_t mid = (lo + hi) / 2;
-      if (files[mid].largest < k1) {
-        lo = mid + 1;
-      } else {
-        hi = mid;
-      }
-    }
-    fi = lo;
-  }
+  const size_t fi = FindFile(files, k1);
   if (fi == files.size()) {  // whole level below the range
     auto pred = LastHead(files.back());
     if (!pred.ok()) return pred.status();
@@ -870,16 +780,7 @@ Status LsmEngine::ScanInLevel(const LevelMeta& level, std::string_view k1,
   }
   size_t bi = 0;
   if (k1 >= files[fi].smallest) {
-    size_t lo = 0, hi = files[fi].blocks.size();
-    while (lo < hi) {
-      const size_t mid = (lo + hi) / 2;
-      if (files[fi].blocks[mid].first_key <= k1) {
-        lo = mid + 1;
-      } else {
-        hi = mid;
-      }
-    }
-    bi = lo == 0 ? 0 : lo - 1;
+    bi = FindBlock(files[fi], k1);
     if (files[fi].blocks[bi].first_key == k1) {
       // The start block holds nothing below k1; the left-boundary witness
       // lives in the previous block/file.
@@ -959,7 +860,13 @@ Status LsmEngine::ScanInLevel(const LevelMeta& level, std::string_view k1,
 
 Status LsmEngine::Flush() {
   std::lock_guard<std::mutex> cl(compaction_mu_);
-  return FlushInternal();
+  // Drain an earlier seal first: its records are older than the active
+  // ones, and flushing it as its own run keeps the newest-first level
+  // order intact.
+  Status s = FlushImmInternal();
+  if (!s.ok()) return s;
+  if (!SealMemtable()) return Status::Ok();  // nothing to flush
+  return FlushImmInternal();
 }
 
 bool LsmEngine::SealMemtable() {
@@ -1022,42 +929,6 @@ Status LsmEngine::CompactAll() {
   return CompactAllInternal();
 }
 
-Status LsmEngine::FlushInternal() {
-  // Drain any sealed-but-unflushed memtable first: its records are older
-  // than the active ones, and flushing it as its own run keeps the
-  // newest-first level order intact.
-  Status s = FlushImmInternal();
-  if (!s.ok()) return s;
-  if (memtable_->empty()) return Status::Ok();
-  stats_.flushes.fetch_add(1, std::memory_order_relaxed);
-
-  std::vector<RawEntry> run;
-  {
-    // Writers are quiesced by the caller (facade holds its write lock); the
-    // shared lock still fences engine-level users racing Put against Flush.
-    std::shared_lock<std::shared_mutex> lock(mu_);
-    run.reserve(memtable_->size());
-    for (auto it = memtable_->NewIterator(); it.Valid(); it.Next()) {
-      RawEntry e;
-      e.record = it.record();
-      e.core = e.record.EncodeCore();
-      run.push_back(std::move(e));
-    }
-  }
-  // w2: stream the sorted buffer out of the enclave.
-  enclave_->AccessRegion(memtable_region_, 0,
-                         memtable_used_.load(std::memory_order_relaxed));
-
-  MergeSource source;
-  source.depth = -1;
-  source.run = std::move(run);
-  std::vector<MergeSource> sources;
-  sources.push_back(std::move(source));
-  const bool as_new_level = !options_.compaction_enabled;
-  return CompactStep(std::move(sources), /*target_pos=*/0, as_new_level,
-                     MemtableReset::kActive);
-}
-
 Status LsmEngine::MaybeCompactInternal() {
   for (size_t i = 0;; ++i) {
     auto base = SnapshotVersion();
@@ -1109,81 +980,27 @@ std::unique_ptr<RunIterator> LsmEngine::MakeSourceIterator(
   if (source.depth < 0) {
     return std::make_unique<VectorRunIterator>(std::move(source.run));
   }
-  const LevelMeta* level = &base.levels()[static_cast<size_t>(source.depth)];
-  std::function<Result<std::shared_ptr<const std::string>>(const FileMeta&)>
-      opener;
-  if (options_.compaction_readahead_files > 0) {
-    // Opt-in batched variant: opening a run file issues one MultiRead over
-    // it plus the next K un-prefetched files of the run, so the merge's
-    // input I/O is pipelined instead of one synchronous read per file.
-    // Unlike Blob (mmap semantics, no read charge), this path pays real
-    // file-read charges — hence the 0 default, which keeps legacy costs.
-    auto images = std::make_shared<
-        std::unordered_map<std::string, std::shared_ptr<const std::string>>>();
-    opener = [this, level, images](const FileMeta& file)
-        -> Result<std::shared_ptr<const std::string>> {
-      enclave_->ChargeOcall();
-      enclave_->ChargeMmapSetup();
-      auto it = images->find(file.name);
-      if (it != images->end()) {
-        auto blob = std::move(it->second);
-        images->erase(it);
-        return blob;
-      }
-      std::vector<storage::ReadRequest> io;
-      io.push_back(storage::ReadRequest{
-          file.name, 0, std::numeric_limits<uint64_t>::max()});
-      size_t pos = 0;
-      while (pos < level->files.size() &&
-             level->files[pos].name != file.name) {
-        ++pos;
-      }
-      for (size_t j = pos + 1;
-           j < level->files.size() &&
-           io.size() < options_.compaction_readahead_files + 1;
-           ++j) {
-        if (images->count(level->files[j].name) > 0) continue;
-        io.push_back(storage::ReadRequest{
-            level->files[j].name, 0, std::numeric_limits<uint64_t>::max()});
-      }
-      auto got = fs_->MultiRead(io);
-      for (size_t k = 1; k < io.size(); ++k) {
-        if (got[k].ok()) {
-          (*images)[io[k].name] = std::make_shared<const std::string>(
-              std::move(got[k]).value());
-        }
-      }
-      if (!got[0].ok()) {
-        return Status::IOError("no such file: " + file.name);
-      }
-      return std::make_shared<const std::string>(std::move(got[0]).value());
-    };
-  } else {
-    opener = [this](const FileMeta& file)
-        -> Result<std::shared_ptr<const std::string>> {
-      // m1: OCall + map the input file; the enclave then streams its blocks
-      // straight from untrusted memory — no whole-level copy.
-      enclave_->ChargeOcall();
-      enclave_->ChargeMmapSetup();
-      auto blob = fs_->Blob(file.name);
-      if (blob == nullptr) {
-        return Status::IOError("no such file: " + file.name);
-      }
-      return blob;
-    };
-  }
+  auto opener = [this](const FileMeta& file)
+      -> Result<std::shared_ptr<const std::string>> {
+    // m1: OCall + map the input file; the enclave then streams its blocks
+    // straight from untrusted memory — no whole-level copy.
+    enclave_->ChargeOcall();
+    enclave_->ChargeMmapSetup();
+    auto blob = fs_->Blob(file.name);
+    if (blob == nullptr) {
+      return Status::IOError("no such file: " + file.name);
+    }
+    return blob;
+  };
   auto check = [this](const FileMeta& file, const BlockHandle& block,
                       std::string_view bytes) -> Status {
     (void)file;
     enclave_->UntrustedRead(bytes.size());
-    if (options_.protect_blocks) {
-      enclave_->ChargeCipher(bytes.size());  // one-pass AES-GCM
-      return VerifyBlockMac(bytes, options_.mac_key, block.mac);
-    }
-    return Status::Ok();
+    return CheckBlock(block, bytes);
   };
-  return std::make_unique<LevelRunIterator>(level, std::move(opener),
-                                            std::move(check));
+  return std::make_unique<LevelRunIterator>(
+      &base.levels()[static_cast<size_t>(source.depth)], std::move(opener),
+      std::move(check));
 }
 
 void LsmEngine::UpdatePeakResident(uint64_t resident_bytes) {
@@ -1231,7 +1048,11 @@ Status LsmEngine::StreamCompaction(const Version& base,
   if (!s.ok()) return s;
 
   // m2: merge groupwise — the resident state is the parsed blocks at the
-  // head of each run plus one key group, never a whole level.
+  // head of each run plus one key group, never a whole level. Only a
+  // listener that defers its proofs makes the output wait for the seal.
+  const bool defer = listener != nullptr && listener->defers_proofs();
+  std::vector<Record> held;
+  uint64_t held_bytes = 0;
   std::vector<Record> group;
   std::vector<std::string> blobs;
   while (merge.Valid()) {
@@ -1244,7 +1065,7 @@ Status LsmEngine::StreamCompaction(const Version& base,
       group.push_back(std::move(r));
     }
     if (!merge.status().ok()) return merge.status();
-    UpdatePeakResident(merge.resident_bytes() + group_bytes);
+    UpdatePeakResident(merge.resident_bytes() + held_bytes + group_bytes);
 
     // Drop policy (§5.4): at the bottom, a tombstone-led group vanishes.
     if (to_bottom && group.front().deleted()) continue;
@@ -1259,6 +1080,13 @@ Status LsmEngine::StreamCompaction(const Version& base,
         return Status::InvalidArgument("group proof count mismatch");
       }
     }
+    if (defer) {
+      for (Record& r : group) {
+        held_bytes += r.ByteSize();
+        held.push_back(std::move(r));
+      }
+      continue;
+    }
     for (size_t j = 0; j < group.size(); ++j) {
       s = AppendOutput(build, group[j],
                        blobs.empty() ? std::string_view() : blobs[j]);
@@ -1272,98 +1100,14 @@ Status LsmEngine::StreamCompaction(const Version& base,
     if (!sealed.ok()) return sealed.status();
     *seal = std::move(sealed).value();
   }
-  return Status::Ok();
-}
-
-Status LsmEngine::BufferedCompaction(const Version& base,
-                                     std::vector<MergeSource> sources,
-                                     std::vector<int> depths, bool to_bottom,
-                                     LevelBuild* build, CompactionSeal* seal) {
-  // Legacy protocol: whole runs and the whole merged output materialize so
-  // OnInputRun/OnOutput see everything at once (required by listeners that
-  // embed full Merkle paths — the tree must be finished before any blob).
-  std::vector<std::vector<RawEntry>> run_data(sources.size());
-  uint64_t resident = 0;
-  for (size_t i = 0; i < sources.size(); ++i) {
-    if (sources[i].depth < 0) {
-      run_data[i] = std::move(sources[i].run);
-    } else {
-      auto it = MakeSourceIterator(base, std::move(sources[i]));
-      Status s = it->Init();
-      if (!s.ok()) return s;
-      while (it->Valid()) {
-        RawEntry e;
-        e.core.assign(it->core());
-        e.proof_blob.assign(it->proof());
-        e.record = it->TakeRecord();
-        run_data[i].push_back(std::move(e));
-        s = it->Next();
-        if (!s.ok()) return s;
-      }
-    }
-    for (const RawEntry& e : run_data[i]) {
-      resident += e.record.ByteSize() + e.core.size() + e.proof_blob.size();
-    }
-  }
-  UpdatePeakResident(resident);
-
-  // m2 step (a): authenticate the inputs read from the untrusted world.
-  if (listener_ != nullptr) {
-    for (size_t i = 0; i < run_data.size(); ++i) {
-      const LevelMeta* meta =
-          depths[i] >= 0 ? &base.levels()[static_cast<size_t>(depths[i])]
-                         : nullptr;
-      Status s = listener_->OnInputRun(depths[i], run_data[i], meta);
-      if (!s.ok()) return s;
-    }
-  }
-
-  std::vector<std::unique_ptr<RunIterator>> runs;
-  runs.reserve(run_data.size());
-  uint64_t reserve = 0;
-  for (auto& rd : run_data) reserve += rd.size();
-  for (auto& rd : run_data) {
-    runs.push_back(std::make_unique<VectorRunIterator>(std::move(rd)));
-  }
-  MergeIterator merge(std::move(runs), nullptr, nullptr);
-  Status s = merge.Init();
-  if (!s.ok()) return s;
-
-  std::vector<Record> output;
-  output.reserve(reserve);
-  std::vector<Record> group;
-  while (merge.Valid()) {
-    group.clear();
-    const std::string group_key = merge.record().key;
-    while (merge.Valid() && merge.record().key == group_key) {
-      group.push_back(merge.TakeAndAdvance());
-    }
-    if (!merge.status().ok()) return merge.status();
-    if (to_bottom && group.front().deleted()) continue;
-    if (!options_.keep_old_versions) group.resize(1);
-    for (Record& r : group) output.push_back(std::move(r));
-  }
-  if (!merge.status().ok()) return merge.status();
-  uint64_t output_bytes = 0;
-  for (const Record& r : output) output_bytes += r.ByteSize();
-  UpdatePeakResident(resident + output_bytes);
-  enclave_->Copy(output.size() * 128, /*cross_boundary=*/false);
-
-  // m2 steps (b)+(c): digest the output and generate embedded proofs.
-  if (listener_ != nullptr) {
-    auto sealed = listener_->OnOutput(output);
-    if (!sealed.ok()) return sealed.status();
-    *seal = std::move(sealed).value();
-    if (!seal->proof_blobs.empty() &&
-        seal->proof_blobs.size() != output.size()) {
+  if (defer) {
+    if (seal->proof_blobs.size() != held.size()) {
       return Status::InvalidArgument("seal proof count mismatch");
     }
-  }
-  for (size_t i = 0; i < output.size(); ++i) {
-    s = AppendOutput(build, output[i],
-                     seal->proof_blobs.empty() ? std::string_view()
-                                               : seal->proof_blobs[i]);
-    if (!s.ok()) return s;
+    for (size_t i = 0; i < held.size(); ++i) {
+      s = AppendOutput(build, held[i], seal->proof_blobs[i]);
+      if (!s.ok()) return s;
+    }
   }
   return Status::Ok();
 }
@@ -1416,12 +1160,8 @@ Status LsmEngine::CompactStep(std::vector<MergeSource> sources,
       BloomFilter(options_.bloom_bits_per_key,
                   std::max<uint64_t>(input_entries, 16));  // upper bound
   CompactionSeal seal;
-  const bool streaming = listener_ == nullptr || listener_->streaming();
-  Status s = streaming
-                 ? StreamCompaction(*base, std::move(sources), depths,
-                                    to_bottom, &build, &seal)
-                 : BufferedCompaction(*base, std::move(sources), depths,
-                                      to_bottom, &build, &seal);
+  Status s = StreamCompaction(*base, std::move(sources), depths, to_bottom,
+                              &build, &seal);
   if (s.ok()) s = FinalizeLevel(&build, seal);
   if (!s.ok()) {
     AbortLevel(&build);
@@ -1552,10 +1292,7 @@ void LsmEngine::InstallVersion(std::vector<LevelMeta> levels,
   {
     std::unique_lock<std::shared_mutex> lock(mu_);
     version_ = std::move(next);
-    if (reset == MemtableReset::kActive) {
-      memtable_ = std::make_unique<SkipList>();
-      memtable_used_.store(0, std::memory_order_relaxed);
-    } else if (reset == MemtableReset::kImm) {
+    if (reset == MemtableReset::kImm) {
       imm_.reset();
       imm_used_ = 0;
     }

@@ -8,12 +8,16 @@
 // The engine is "vanilla": it knows nothing about Merkle trees. It exposes
 // the integration points the paper uses for RocksDB (§5.5.3):
 //   * CompactionListener — the Filter() / OnTableFileCreated() analogue
-//     through which auth verifies compaction inputs and seals outputs. The
-//     streaming hooks feed the listener block-granular input/output streams
-//     so the hash-chain/Merkle build never buffers a whole level; the
-//     buffered hooks remain for legacy listeners (and for embed_full_paths,
-//     whose per-record Merkle paths need the finished tree).
+//     through which auth verifies compaction inputs and seals outputs. One
+//     streaming protocol feeds the listener block-granular input/output
+//     streams, so the hash-chain/Merkle build never buffers a whole level
+//     (only a listener that defers its proofs to the finished tree makes the
+//     engine hold the merged output until the seal).
 //   * opaque per-record proof blobs stored alongside records in SSTables.
+//
+// One path per job: a point read is a one-key MultiGet, a flush seals the
+// active memtable and merges it like any other sealed memtable, and every
+// compaction runs the streaming merge.
 //
 // Read paths (§5.5.1): mmap (direct untrusted-memory access) or a
 // user-space ReadBuffer placed outside (P2) or inside (P1) the enclave.
@@ -95,8 +99,9 @@ struct LsmOptions {
   bool protect_blocks = false;
   // Verify loaded blocks against the digest sealed in the snapshot metadata
   // before admitting them to the read buffer (digest-keyed verified cache).
-  // P2 turns this on; P1 already authenticates loads via the block MAC and
-  // the unsecured baseline carries no integrity contract at all.
+  // Authenticated P2 turns this on; P1 already authenticates loads via the
+  // block MAC, and the unsecured and unauthenticated baselines carry no
+  // integrity contract at all.
   bool verify_blocks = false;
   std::string mac_key = "elsm-p1-file-key";
   // Keep superseded versions of a key during compaction (eLSM chains need
@@ -130,62 +135,41 @@ struct LsmOptions {
   // --- batched read I/O ----------------------------------------------------
   // MultiGet collects the candidate blocks of all still-searching keys at
   // each level and loads the cache misses with one Fs::MultiRead (buffer
-  // read path only; per-block verify-and-admit is unchanged).
+  // read path only; per-block verify-and-admit is unchanged). A level only
+  // one key consults reads its block directly, exactly like a lone Get.
   bool multiget_batching = true;
   // Scan readahead: batch-fetch up to this many upcoming blocks of each
   // level run ahead of the sequential walk, bounded to blocks the walk
   // provably visits (first_key <= k2). 0 disables. Buffer read path only.
   uint64_t scan_readahead_blocks = 8;
-  // Streaming-compaction input readahead: batch-read this many upcoming
-  // input files of a run together with the one being opened. Default 0
-  // keeps the legacy Blob() path and its exact cost profile (a Blob
-  // materialization charges no file read, a MultiRead does), so simulated
-  // clocks only move when a caller opts in.
-  uint64_t compaction_readahead_files = 0;
 };
 
 // Everything a CompactionListener returns to seal a freshly built level.
 struct CompactionSeal {
-  std::vector<std::string> proof_blobs;  // aligned with output records
+  // One per output record, only from a listener that defers its proofs
+  // (see CompactionListener::defers_proofs); otherwise empty.
+  std::vector<std::string> proof_blobs;
   crypto::Hash256 root = crypto::kZeroHash;
   uint64_t leaf_count = 0;
   std::string tree_payload;  // written as the level's sidecar when non-empty
 };
 
+// The streaming compaction protocol. One compaction = OnCompactionBegin,
+// then per run: OnInputRunBegin, OnInputEntry xN (per-run order),
+// OnInputRunEnd (the natural place to reject a tampered input); interleaved
+// with OnOutputGroup once per merged key group (newest-first, after the drop
+// policy); then OnOutputEnd, whose seal carries root/leaf_count/tree_payload.
+// src_depth == -1 (meta == null) is the trusted memtable run; otherwise it
+// is the level position. Any non-OK return aborts the merge.
 class CompactionListener {
  public:
   virtual ~CompactionListener() = default;
 
-  // Listeners answering true are driven through the streaming hooks below;
-  // the default (false) keeps the buffered protocol, where whole runs and
-  // the whole merged output are materialized before the hooks fire.
-  virtual bool streaming() const { return false; }
+  // A listener whose proofs need the finished tree (full Merkle paths)
+  // answers true: OnOutputGroup then emits no blobs, the engine holds the
+  // merged output, and OnOutputEnd's seal carries one blob per record.
+  virtual bool defers_proofs() const { return false; }
 
-  // --- buffered hooks (streaming() == false) -------------------------------
-  // Called once per input run in search order. src_depth == -1 means the
-  // memtable (trusted, blobs empty); otherwise it is the level position.
-  // `meta` is null for the memtable run. Returning non-OK aborts the merge.
-  virtual Status OnInputRun(int src_depth, const std::vector<RawEntry>& run,
-                            const LevelMeta* meta) {
-    (void)src_depth;
-    (void)run;
-    (void)meta;
-    return Status::Ok();
-  }
-  // Called with the merged output before any file is written. The seal's
-  // proof_blobs must be empty or exactly one per record.
-  virtual Result<CompactionSeal> OnOutput(const std::vector<Record>& output) {
-    (void)output;
-    return CompactionSeal{};
-  }
-
-  // --- streaming hooks (streaming() == true) -------------------------------
-  // One compaction = OnCompactionBegin, then per run: OnInputRunBegin,
-  // OnInputEntry xN (per-run order), OnInputRunEnd (the natural place to
-  // reject a tampered input); interleaved with OnOutputGroup once per merged
-  // key group (newest-first, after the drop policy); then OnOutputEnd, whose
-  // seal carries root/leaf_count/tree_payload (proof_blobs are ignored —
-  // they were emitted groupwise).
   virtual Status OnCompactionBegin(size_t run_count) {
     (void)run_count;
     return Status::Ok();
@@ -216,8 +200,6 @@ class CompactionListener {
     return Status::Ok();
   }
   virtual Result<CompactionSeal> OnOutputEnd() { return CompactionSeal{}; }
-
-  // --- both protocols ------------------------------------------------------
   virtual void OnTableFileCreated(const FileMeta& meta) { (void)meta; }
 };
 
@@ -282,8 +264,8 @@ struct EngineStats {
   std::atomic<uint64_t> compaction_bytes_in = 0;
   std::atomic<uint64_t> compaction_bytes_out = 0;
   // High-water mark of entry bytes a single compaction held in memory
-  // (group buffer + parsed blocks; O(blocks in flight) when streaming,
-  // O(level) on the buffered legacy path).
+  // (group buffer + parsed blocks: O(blocks in flight), plus the held
+  // output for a listener that defers its proofs).
   std::atomic<uint64_t> compaction_peak_resident_bytes = 0;
   // Manifest-maintenance telemetry, bumped by the owning facade through
   // NoteManifestWrite: delta records appended to the tail log, full
@@ -348,6 +330,7 @@ class LsmEngine {
   // acquisition and one WAL append cover it even without other writers).
   Status PutBatch(std::vector<Record> records);
 
+  // A one-key MultiGet.
   Result<GetResponse> Get(std::string_view key, uint64_t ts_max);
 
   // One key's outcome in a MultiGet: status guards the response (per-key
@@ -356,22 +339,24 @@ class LsmEngine {
     Status status = Status::Ok();
     GetResponse response;
   };
-  // Batched point reads: one shared-lock pass probes the memtables for
-  // every key and grabs ONE version snapshot, then the level walk runs
-  // level-major — all still-searching keys' candidate blocks at a level
-  // are planned together and the cache misses load via one Fs::MultiRead
-  // (see LsmOptions::multiget_batching). Each key's per-level results,
-  // bracketing witnesses, and early stop match a sequential Get against
-  // the same snapshot exactly, so proof assembly/verification is unchanged.
+  // Point reads, the engine's one read path: one shared-lock pass probes
+  // the memtables for every key and grabs ONE version snapshot, then the
+  // level walk runs level-major — when several still-searching keys
+  // consult a level, their candidate blocks are planned together and the
+  // cache misses load via one Fs::MultiRead (see
+  // LsmOptions::multiget_batching). Each key's per-level results,
+  // bracketing witnesses, and early stop are those of a one-key lookup
+  // against the same snapshot, so proof assembly/verification is unchanged.
   std::vector<MultiGetItem> MultiGet(const std::vector<std::string>& keys,
                                      uint64_t ts_max);
 
   Result<ScanResponse> Scan(std::string_view k1, std::string_view k2);
 
-  // Memtable -> disk (immutable memtable first, then the active one). With
-  // compaction enabled the run merges into the shallowest level; otherwise
-  // it becomes a new level on top of the stack. The caller must have
-  // quiesced writers (the facade holds its exclusive lock).
+  // Memtable -> disk: drains any earlier sealed memtable, then seals the
+  // active one and merges it the same way (FlushImm). With compaction
+  // enabled the run merges into the shallowest level; otherwise it becomes
+  // a new level on top of the stack. The caller must have quiesced writers
+  // (the facade holds its exclusive lock).
   Status Flush();
   // --- off-writer-path flush handoff ---------------------------------------
   // Seals the active memtable: one pointer swap under the exclusive engine
@@ -525,6 +510,9 @@ class LsmEngine {
       const LevelMeta& level, std::string_view key,
       std::vector<std::pair<const FileMeta*, const BlockHandle*>>* out) const;
 
+  // Block check shared by every read path: P1 charges the one-pass
+  // AES-GCM decrypt and verifies the block MAC; other modes pass.
+  Status CheckBlock(const BlockHandle& block, std::string_view bytes) const;
   Result<std::shared_ptr<const std::string>> ReadBlock(
       const FileMeta& file, const BlockHandle& block,
       const PrefetchedBlocks* prefetched = nullptr) const;
@@ -566,9 +554,9 @@ class LsmEngine {
   std::unique_ptr<RunIterator> MakeSourceIterator(const Version& base,
                                                   MergeSource source) const;
 
-  // Which in-memory table a flush-style CompactStep drains: the active
-  // memtable, the sealed (immutable) one, or neither (pure compaction).
-  enum class MemtableReset { kNone, kActive, kImm };
+  // Whether a CompactStep drains the sealed (immutable) memtable (a flush)
+  // or no in-memory table at all (a pure compaction).
+  enum class MemtableReset { kNone, kImm };
 
   // --- group commit core ----------------------------------------------------
   // One writer's stake in a commit cohort (lives on the writer's stack).
@@ -589,23 +577,18 @@ class LsmEngine {
   Status CommitCohort(const std::vector<CommitRequest*>& cohort);
 
   // --- compaction core (callers hold compaction_mu_) -----------------------
-  Status FlushInternal();
   Status FlushImmInternal();
   Status MaybeCompactInternal();
   Status CompactAllInternal();
   // Merges `sources` (search-order-shallower first) plus — unless
   // insert_as_new — the level at `target_pos` into a fresh level installed
-  // per the legacy position rules. `reset` empties the named in-memory
-  // table atomically with the version swap (the flush paths).
+  // per the legacy position rules. `reset` empties the sealed memtable
+  // atomically with the version swap (the flush path).
   Status CompactStep(std::vector<MergeSource> sources, size_t target_pos,
                      bool insert_as_new, MemtableReset reset);
   Status StreamCompaction(const Version& base, std::vector<MergeSource> sources,
                           std::vector<int> depths, bool to_bottom,
                           LevelBuild* build, CompactionSeal* seal);
-  Status BufferedCompaction(const Version& base,
-                            std::vector<MergeSource> sources,
-                            std::vector<int> depths, bool to_bottom,
-                            LevelBuild* build, CompactionSeal* seal);
   Status AppendOutput(LevelBuild* build, const Record& record,
                       std::string_view proof_blob);
   Status FinishOutputFile(LevelBuild* build);

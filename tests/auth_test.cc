@@ -9,6 +9,7 @@
 #include "auth/verifier.h"
 #include "auth/wal_digest.h"
 #include "storage/simfs.h"
+#include "str_cat.h"
 
 namespace elsm::auth {
 namespace {
@@ -34,6 +35,46 @@ std::vector<lsm::Record> SampleRun() {
       MakeRecord("c", "vc", 11), MakeRecord("d", "vd", 12),
       MakeRecord("e", "ve", 13),
   };
+}
+
+// Hands a sorted run to `add_group` one key group at a time, the way the
+// compaction merge feeds the output side.
+template <typename AddGroup>
+Status ForEachGroup(const std::vector<lsm::Record>& records,
+                    AddGroup&& add_group) {
+  std::vector<lsm::Record> group;
+  for (size_t i = 0; i < records.size(); ++i) {
+    group.push_back(records[i]);
+    if (i + 1 == records.size() || records[i + 1].key != records[i].key) {
+      Status s = add_group(group);
+      if (!s.ok()) return s;
+      group.clear();
+    }
+  }
+  return Status::Ok();
+}
+
+// Seals a sorted run through SealBuilder; the returned seal carries one
+// proof blob per record in either layout.
+lsm::CompactionSeal SealRun(const std::vector<lsm::Record>& records,
+                            sgx::Enclave* enclave, bool embed_full_paths) {
+  SealBuilder builder(enclave, embed_full_paths);
+  std::vector<std::string> blobs;
+  EXPECT_TRUE(ForEachGroup(records, [&](const std::vector<lsm::Record>& g) {
+                return builder.AddGroup(g, &blobs);
+              }).ok());
+  auto seal = builder.Finish();
+  EXPECT_TRUE(seal.ok());
+  if (!embed_full_paths) seal.value().proof_blobs = std::move(blobs);
+  return std::move(seal).value();
+}
+
+// Re-digests a sorted run the way compaction-input verification does.
+LevelDigest DigestOf(const std::vector<lsm::Record>& records,
+                     sgx::Enclave* enclave) {
+  RunDigester digester(enclave);
+  for (const auto& r : records) digester.Add(r, r.EncodeCore());
+  return digester.Finish();
 }
 
 TEST(EmbeddedProofTest, CodecRoundTripWithSuffix) {
@@ -71,50 +112,68 @@ TEST(EmbeddedProofTest, DecodeRejectsGarbage) {
 TEST(LevelBuilderTest, SealMatchesDigestRun) {
   auto enclave = MakeEnclave();
   const auto records = SampleRun();
-  auto seal = BuildLevelSeal(records, *enclave, /*embed_full_paths=*/false);
-  ASSERT_TRUE(seal.ok());
-  EXPECT_EQ(seal.value().leaf_count, 5u);  // distinct keys a..e
-  ASSERT_EQ(seal.value().proof_blobs.size(), records.size());
+  const lsm::CompactionSeal seal = SealRun(records, enclave.get(), false);
+  EXPECT_EQ(seal.leaf_count, 5u);  // distinct keys a..e
+  ASSERT_EQ(seal.proof_blobs.size(), records.size());
 
   // Re-digesting the same run (as compaction-input verification does) must
   // reproduce the sealed root.
-  std::vector<lsm::RawEntry> run;
-  for (const auto& r : records) {
-    lsm::RawEntry e;
-    e.record = r;
-    e.core = r.EncodeCore();
-    run.push_back(e);
-  }
-  const LevelDigest digest = DigestRun(run, *enclave);
-  EXPECT_EQ(digest.root, seal.value().root);
-  EXPECT_EQ(digest.leaf_count, seal.value().leaf_count);
+  const LevelDigest digest = DigestOf(records, enclave.get());
+  EXPECT_EQ(digest.root, seal.root);
+  EXPECT_EQ(digest.leaf_count, seal.leaf_count);
 }
 
 TEST(LevelBuilderTest, ChainMembersShareLeafIndex) {
   auto enclave = MakeEnclave();
   const auto records = SampleRun();
-  auto seal = BuildLevelSeal(records, *enclave, false);
-  ASSERT_TRUE(seal.ok());
+  const lsm::CompactionSeal seal = SealRun(records, enclave.get(), false);
+  ASSERT_EQ(seal.proof_blobs.size(), records.size());
   // Records 1..3 are the three versions of "b" -> leaf index 1.
   for (int i = 1; i <= 3; ++i) {
-    auto proof = EmbeddedProof::Decode(seal.value().proof_blobs[size_t(i)]);
+    auto proof = EmbeddedProof::Decode(seal.proof_blobs[size_t(i)]);
     ASSERT_TRUE(proof.ok());
     EXPECT_EQ(proof.value().leaf_index, 1u);
   }
   // Newest "b" has a suffix; oldest does not.
-  auto newest = EmbeddedProof::Decode(seal.value().proof_blobs[1]);
-  auto oldest = EmbeddedProof::Decode(seal.value().proof_blobs[3]);
+  auto newest = EmbeddedProof::Decode(seal.proof_blobs[1]);
+  auto oldest = EmbeddedProof::Decode(seal.proof_blobs[3]);
   EXPECT_TRUE(newest.value().suffix.present);
   EXPECT_FALSE(oldest.value().suffix.present);
 }
 
+TEST(LevelBuilderTest, EmbeddedPathsArriveWithTheSeal) {
+  // The paper-literal layout: blobs wait for the finished tree, then each
+  // carries its record's full Merkle path. Same root, same charges.
+  auto plain_enclave = MakeEnclave();
+  auto embed_enclave = MakeEnclave();
+  const auto records = SampleRun();
+  const lsm::CompactionSeal plain =
+      SealRun(records, plain_enclave.get(), false);
+  const lsm::CompactionSeal embedded =
+      SealRun(records, embed_enclave.get(), true);
+  EXPECT_EQ(embedded.root, plain.root);
+  EXPECT_EQ(embedded.leaf_count, plain.leaf_count);
+  EXPECT_EQ(embedded.tree_payload, plain.tree_payload);
+  EXPECT_EQ(embed_enclave->now_ns(), plain_enclave->now_ns());
+  ASSERT_EQ(embedded.proof_blobs.size(), records.size());
+  for (size_t i = 0; i < records.size(); ++i) {
+    auto proof = EmbeddedProof::Decode(embedded.proof_blobs[i]);
+    auto bare = EmbeddedProof::Decode(plain.proof_blobs[i]);
+    ASSERT_TRUE(proof.ok());
+    ASSERT_TRUE(bare.ok());
+    EXPECT_EQ(proof.value().leaf_index, bare.value().leaf_index);
+    EXPECT_EQ(proof.value().suffix.present, bare.value().suffix.present);
+    ASSERT_TRUE(proof.value().path.has_value());
+    EXPECT_EQ(proof.value().path->leaf_index, proof.value().leaf_index);
+  }
+}
+
 TEST(LevelBuilderTest, EmptyRunYieldsEmptySeal) {
   auto enclave = MakeEnclave();
-  auto seal = BuildLevelSeal({}, *enclave, false);
-  ASSERT_TRUE(seal.ok());
-  EXPECT_EQ(seal.value().leaf_count, 0u);
-  EXPECT_EQ(seal.value().root, crypto::kZeroHash);
-  EXPECT_TRUE(seal.value().proof_blobs.empty());
+  const lsm::CompactionSeal seal = SealRun({}, enclave.get(), false);
+  EXPECT_EQ(seal.leaf_count, 0u);
+  EXPECT_EQ(seal.root, crypto::kZeroHash);
+  EXPECT_TRUE(seal.proof_blobs.empty());
 }
 
 TEST(TreeFileTest, SiblingsMatchInMemoryTree) {
@@ -122,7 +181,7 @@ TEST(TreeFileTest, SiblingsMatchInMemoryTree) {
   storage::SimFs fs(enclave);
   std::vector<crypto::Hash256> leaves;
   for (int i = 0; i < 37; ++i) {
-    leaves.push_back(crypto::Sha256::Digest("leaf" + std::to_string(i)));
+    leaves.push_back(crypto::Sha256::Digest(test_util::Cat("leaf", i)));
   }
   crypto::MerkleTree tree(leaves);
   ASSERT_TRUE(fs.Write("t.tree", TreeFile::Serialize(tree)).ok());
@@ -141,7 +200,7 @@ TEST(TreeFileTest, RangeProofMatchesInMemoryTree) {
   storage::SimFs fs(enclave);
   std::vector<crypto::Hash256> leaves;
   for (int i = 0; i < 64; ++i) {
-    leaves.push_back(crypto::Sha256::Digest("leaf" + std::to_string(i)));
+    leaves.push_back(crypto::Sha256::Digest(test_util::Cat("leaf", i)));
   }
   crypto::MerkleTree tree(leaves);
   ASSERT_TRUE(fs.Write("t.tree", TreeFile::Serialize(tree)).ok());
@@ -194,7 +253,13 @@ TEST(ListenerTest, AcceptsMatchingInputRejectsMismatched) {
   auto enclave = MakeEnclave();
   AuthCompactionListener listener(enclave.get(), false);
   const auto records = SampleRun();
-  auto seal = listener.OnOutput(records);
+  ASSERT_TRUE(listener.OnCompactionBegin(0).ok());
+  std::vector<std::string> blobs;
+  ASSERT_TRUE(ForEachGroup(records, [&](const std::vector<lsm::Record>& g) {
+                return listener.OnOutputGroup(g, &blobs);
+              }).ok());
+  EXPECT_EQ(blobs.size(), records.size());
+  auto seal = listener.OnOutputEnd();
   ASSERT_TRUE(seal.ok());
 
   lsm::LevelMeta meta;
@@ -208,12 +273,21 @@ TEST(ListenerTest, AcceptsMatchingInputRejectsMismatched) {
     e.core = r.EncodeCore();
     run.push_back(e);
   }
-  EXPECT_TRUE(listener.OnInputRun(2, run, &meta).ok());
+  // One input run through the streaming input hooks.
+  auto authenticate = [&](int depth, const lsm::LevelMeta* level) {
+    Status s = listener.OnCompactionBegin(1);
+    if (s.ok()) s = listener.OnInputRunBegin(0, depth, level);
+    for (const auto& e : run) {
+      if (s.ok()) s = listener.OnInputEntry(0, e.record, e.core);
+    }
+    return s.ok() ? listener.OnInputRunEnd(0) : s;
+  };
+  EXPECT_TRUE(authenticate(2, &meta).ok());
 
   run[3].core[1] ^= 0x01;  // tamper one stored byte
-  EXPECT_TRUE(listener.OnInputRun(2, run, &meta).IsAuthFailure());
+  EXPECT_TRUE(authenticate(2, &meta).IsAuthFailure());
   // Memtable runs (depth -1) are trusted regardless.
-  EXPECT_TRUE(listener.OnInputRun(-1, run, nullptr).ok());
+  EXPECT_TRUE(authenticate(-1, nullptr).ok());
 }
 
 TEST(VerifierTest, EmptyLevelNeedsNoWitnesses) {

@@ -8,6 +8,7 @@
 #include "baseline/eleos_store.h"
 #include "baseline/merkle_btree.h"
 #include "common/random.h"
+#include "str_cat.h"
 
 namespace elsm::baseline {
 namespace {
@@ -27,13 +28,13 @@ std::string Key(int i) {
 TEST(EleosTest, PutGetRoundTrip) {
   EleosStore store(EleosOptions{}, MakeEnclave());
   for (int i = 0; i < 500; ++i) {
-    ASSERT_TRUE(store.Put(Key(i), "v" + std::to_string(i)).ok());
+    ASSERT_TRUE(store.Put(Key(i), test_util::Cat("v", i)).ok());
   }
   for (int i = 0; i < 500; ++i) {
     auto got = store.Get(Key(i));
     ASSERT_TRUE(got.ok());
     ASSERT_TRUE(got.value().has_value()) << Key(i);
-    EXPECT_EQ(*got.value(), "v" + std::to_string(i));
+    EXPECT_EQ(*got.value(), test_util::Cat("v", i));
   }
   EXPECT_FALSE(store.Get("missing").value().has_value());
 }
@@ -45,7 +46,7 @@ TEST(EleosTest, RandomInsertionOrderStaysSorted) {
   for (int n = 0; n < 400; ++n) {
     const int i = int(rng.Uniform(10000));
     inserted.insert(i);
-    ASSERT_TRUE(store.Put(Key(i), "v" + std::to_string(i)).ok());
+    ASSERT_TRUE(store.Put(Key(i), test_util::Cat("v", i)).ok());
   }
   EXPECT_EQ(store.size(), inserted.size());
   for (int i : inserted) {
@@ -109,14 +110,14 @@ TEST(EleosTest, LargeStoreThrashesEpc) {
 TEST(MerkleBTreeTest, PutGetRoundTrip) {
   MerkleBTree tree(MerkleBTreeOptions{}, MakeEnclave());
   for (int i = 0; i < 2000; ++i) {
-    ASSERT_TRUE(tree.Put(Key(i), "v" + std::to_string(i)).ok());
+    ASSERT_TRUE(tree.Put(Key(i), test_util::Cat("v", i)).ok());
   }
   EXPECT_EQ(tree.size(), 2000u);
   for (int i = 0; i < 2000; i += 37) {
     auto got = tree.Get(Key(i));
     ASSERT_TRUE(got.ok()) << got.status().ToString();
     ASSERT_TRUE(got.value().has_value());
-    EXPECT_EQ(*got.value(), "v" + std::to_string(i));
+    EXPECT_EQ(*got.value(), test_util::Cat("v", i));
   }
   EXPECT_FALSE(tree.Get("absent").value().has_value());
 }

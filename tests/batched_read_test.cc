@@ -21,6 +21,7 @@
 #include "storage/read_buffer.h"
 #include "storage/simfs.h"
 #include "temp_dir.h"
+#include "str_cat.h"
 
 namespace elsm {
 namespace {
@@ -41,7 +42,7 @@ std::string Key(int i) {
 }
 
 std::string Value(int i, int version = 0) {
-  return "value-" + std::to_string(i) + "-v" + std::to_string(version);
+  return test_util::Cat("value-", i, "-v", version);
 }
 
 Options BufferOptions(Mode mode = Mode::kP2) {
@@ -522,38 +523,6 @@ TEST(ScanReadaheadTest, ChargesMatchSequentialOnSimFs) {
     return db.value()->enclave().now_ns() - t0;
   };
   EXPECT_EQ(run_scan(8), run_scan(0));
-}
-
-// --- compaction input readahead --------------------------------------------
-
-TEST(CompactionReadaheadTest, MergedDataIdentical) {
-  Options batched = BufferOptions();
-  batched.compaction_readahead_files = 2;
-  Options plain = BufferOptions();
-  auto db_b = ElsmDb::Create(batched);
-  auto db_p = ElsmDb::Create(plain);
-  ASSERT_TRUE(db_b.ok());
-  ASSERT_TRUE(db_p.ok());
-  for (int round = 0; round < 3; ++round) {
-    for (int i = 0; i < 300; ++i) {
-      ASSERT_TRUE(db_b.value()->Put(Key(i), Value(i, round)).ok());
-      ASSERT_TRUE(db_p.value()->Put(Key(i), Value(i, round)).ok());
-    }
-    ASSERT_TRUE(db_b.value()->Flush().ok());
-    ASSERT_TRUE(db_p.value()->Flush().ok());
-  }
-  ASSERT_TRUE(db_b.value()->CompactAll().ok());
-  ASSERT_TRUE(db_p.value()->CompactAll().ok());
-  auto a = db_b.value()->Scan(Key(0), Key(299));
-  auto b = db_p.value()->Scan(Key(0), Key(299));
-  ASSERT_TRUE(a.ok()) << a.status().ToString();
-  ASSERT_TRUE(b.ok());
-  ASSERT_EQ(a.value().size(), 300u);
-  ASSERT_EQ(b.value().size(), 300u);
-  for (size_t i = 0; i < a.value().size(); ++i) {
-    EXPECT_EQ(a.value()[i].key, b.value()[i].key);
-    EXPECT_EQ(a.value()[i].value, b.value()[i].value);
-  }
 }
 
 // --- concurrency (TSan suite) ----------------------------------------------

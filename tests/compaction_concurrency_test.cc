@@ -16,6 +16,7 @@
 #include "elsm/elsm_db.h"
 #include "elsm/sharded_db.h"
 #include "storage/simfs.h"
+#include "str_cat.h"
 
 namespace elsm {
 namespace {
@@ -134,7 +135,7 @@ TEST(CompactionConcurrencyTest, GetsCompleteWhileScheduledCompactionRuns) {
   auto db = ElsmDb::Create(o);
   ASSERT_TRUE(db.ok());
   for (int i = 0; i < 1500; ++i) {
-    ASSERT_TRUE(db.value()->Put(Key(i), "v" + std::to_string(i)).ok());
+    ASSERT_TRUE(db.value()->Put(Key(i), test_util::Cat("v", i)).ok());
   }
   ASSERT_TRUE(db.value()->Flush().ok());
 
@@ -146,7 +147,7 @@ TEST(CompactionConcurrencyTest, GetsCompleteWhileScheduledCompactionRuns) {
     auto got = db.value()->GetVerified(Key(i));
     ASSERT_TRUE(got.ok()) << got.status().ToString();
     ASSERT_TRUE(got.value().record.has_value()) << i;
-    EXPECT_EQ(got.value().record->value, "v" + std::to_string(i));
+    EXPECT_EQ(got.value().record->value, test_util::Cat("v", i));
   }
   EXPECT_TRUE(db.value()->WaitForCompaction().ok());
 }
@@ -160,7 +161,7 @@ TEST(CompactionConcurrencyTest, BackgroundCompactionPersistsAcrossReopen) {
   auto db = ElsmDb::Open(o, fs, platform);
   ASSERT_TRUE(db.ok());
   for (int i = 0; i < 600; ++i) {
-    ASSERT_TRUE(db.value()->Put(Key(i), "persist" + std::to_string(i)).ok());
+    ASSERT_TRUE(db.value()->Put(Key(i), test_util::Cat("persist", i)).ok());
   }
   ASSERT_TRUE(db.value()->Flush().ok());
   ASSERT_TRUE(db.value()->WaitForCompaction().ok());
@@ -172,7 +173,7 @@ TEST(CompactionConcurrencyTest, BackgroundCompactionPersistsAcrossReopen) {
     auto got = reopened.value()->GetVerified(Key(i));
     ASSERT_TRUE(got.ok()) << got.status().ToString();
     ASSERT_TRUE(got.value().record.has_value());
-    EXPECT_EQ(got.value().record->value, "persist" + std::to_string(i));
+    EXPECT_EQ(got.value().record->value, test_util::Cat("persist", i));
   }
 }
 

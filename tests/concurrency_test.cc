@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "elsm/elsm_db.h"
+#include "str_cat.h"
 
 namespace elsm {
 namespace {
@@ -30,7 +31,7 @@ TEST(ConcurrencyTest, ParallelVerifiedReaders) {
   auto db = ElsmDb::Create(ConcurrencyOptions());
   ASSERT_TRUE(db.ok());
   for (int i = 0; i < 500; ++i) {
-    ASSERT_TRUE(db.value()->Put(Key(i), "v" + std::to_string(i)).ok());
+    ASSERT_TRUE(db.value()->Put(Key(i), test_util::Cat("v", i)).ok());
   }
   ASSERT_TRUE(db.value()->CompactAll().ok());
 
@@ -42,7 +43,7 @@ TEST(ConcurrencyTest, ParallelVerifiedReaders) {
       for (int i = t; i < 500; i += 4) {
         auto got = db.value()->GetVerified(Key(i));
         if (!got.ok() || !got.value().record.has_value() ||
-            got.value().record->value != "v" + std::to_string(i)) {
+            got.value().record->value != test_util::Cat("v", i)) {
           ++errors;
         }
       }
@@ -68,7 +69,7 @@ TEST(ConcurrencyTest, ReadersDuringWritesSeeConsistentValues) {
     // the engine's reader/writer lock must keep readers consistent.
     for (int round = 0; round < 10 && !stop; ++round) {
       for (int i = 0; i < 200; ++i) {
-        if (!db.value()->Put(Key(i), "round" + std::to_string(round)).ok()) {
+        if (!db.value()->Put(Key(i), test_util::Cat("round", round)).ok()) {
           ++errors;
         }
       }

@@ -24,6 +24,7 @@
 #include "storage/posix_fs.h"
 #include "storage/simfs.h"
 #include "temp_dir.h"
+#include "str_cat.h"
 
 namespace elsm {
 namespace {
@@ -70,7 +71,7 @@ std::optional<PendingOp> RunUntilCrash(
       pending.value = std::nullopt;
       s = db.Delete(pending.key);
     } else {
-      pending.value = "v" + std::to_string(op) + "-" + pending.key;
+      pending.value = test_util::Cat("v", op, "-", pending.key);
       s = db.Put(pending.key, *pending.value);
     }
     if (!s.ok()) {
@@ -141,7 +142,7 @@ void RunCrashTorture(const std::string& backend, bool unsynced_loss,
   int crashes_seen = 0;
   std::map<std::string, int> crash_ops;  // op kind -> count (coverage)
   for (uint64_t seed = 0; seed < seeds; ++seed) {
-    SCOPED_TRACE("seed " + std::to_string(seed));
+    SCOPED_TRACE(test_util::Cat("seed ", seed));
     Rng rng(0x9000 + seed);
     auto enclave = std::make_shared<sgx::Enclave>(sgx::CostModel{}, true);
     test_util::TempDir dir;  // per-seed scratch root (posix only)
@@ -165,7 +166,7 @@ void RunCrashTorture(const std::string& backend, bool unsynced_loss,
       const uint64_t warm = rng.Uniform(150);
       for (uint64_t i = 0; i < warm; ++i) {
         const std::string key = Key(rng.Uniform(120));
-        const std::string value = "warm" + std::to_string(i);
+        const std::string value = test_util::Cat("warm", i);
         ASSERT_TRUE(db.value()->Put(key, value).ok());
         shadow[key] = value;
       }
@@ -342,7 +343,7 @@ TEST(CrashRecoveryTest, ParallelPutBatchCrashRecoversToConsistentShadowState) {
   // acknowledged batch must be intact, and each key of the one in-flight
   // batch must hold either its old or its attempted value — nothing else.
   for (uint64_t seed = 0; seed < 8; ++seed) {
-    SCOPED_TRACE("seed " + std::to_string(seed));
+    SCOPED_TRACE(test_util::Cat("seed ", seed));
     Rng rng(0xba7c + seed);
     constexpr uint32_t kShards = 3;
     auto env = std::make_shared<ShardEnv>();
@@ -366,7 +367,7 @@ TEST(CrashRecoveryTest, ParallelPutBatchCrashRecoversToConsistentShadowState) {
         ElsmDb::WriteBatch batch;
         for (int i = 0; i < 30; ++i) {
           const std::string key = Key(rng.Uniform(120));
-          batch.Put(key, "warm" + std::to_string(round));
+          batch.Put(key, test_util::Cat("warm", round));
         }
         ASSERT_TRUE(db.value()->Write(batch).ok());
         for (const auto& e : batch.entries) shadow[e.key] = e.value;
@@ -378,7 +379,7 @@ TEST(CrashRecoveryTest, ParallelPutBatchCrashRecoversToConsistentShadowState) {
         ElsmDb::WriteBatch batch;
         for (int i = 0; i < 20; ++i) {
           const std::string key = Key(rng.Uniform(120));
-          batch.Put(key, "racing" + std::to_string(round) + "-" + key);
+          batch.Put(key, test_util::Cat("racing", round, "-", key));
         }
         Status s = db.value()->Write(batch);
         if (!s.ok()) {
@@ -468,7 +469,7 @@ TEST(CrashRecoveryTest, ParallelPutBatchCrashRecoversToConsistentShadowState) {
 void RunManifestMaintenanceWalk(const std::string& backend,
                                 bool unsynced_loss) {
   for (uint64_t k = 1; k <= 36; ++k) {
-    SCOPED_TRACE("crash at mutating op " + std::to_string(k));
+    SCOPED_TRACE(test_util::Cat("crash at mutating op ", k));
     auto enclave = std::make_shared<sgx::Enclave>(sgx::CostModel{}, true);
     test_util::TempDir dir;
     std::shared_ptr<storage::Fs> base;
@@ -501,7 +502,7 @@ void RunManifestMaintenanceWalk(const std::string& backend,
       fs->ScheduleCrash(k, /*keep_fraction=*/0.5);
       for (uint64_t op = 0; op < 400 && !crashed; ++op) {
         const std::string key = Key(op % 50);
-        const std::string value = "walk" + std::to_string(op);
+        const std::string value = test_util::Cat("walk", op);
         Status s = db.value()->Put(key, value);
         if (!s.ok()) {
           EXPECT_TRUE(fs->crashed()) << "non-crash failure: " << s.ToString();
@@ -577,8 +578,8 @@ TEST(CrashRecoveryTest, SuperManifestCrashWalkRecoversBenignly) {
   constexpr uint32_t kShards = 2;
   for (int unsynced = 0; unsynced < 2; ++unsynced) {
     for (uint64_t k = 1; k <= 14; ++k) {
-      SCOPED_TRACE("unsynced_loss=" + std::to_string(unsynced) +
-                   " crash at meta op " + std::to_string(k));
+      SCOPED_TRACE(test_util::Cat(
+          "unsynced_loss=", unsynced, " crash at meta op ", k));
       auto enclave = std::make_shared<sgx::Enclave>(sgx::CostModel{}, true);
       auto env = std::make_shared<ShardEnv>();
       auto meta_fault = std::make_shared<storage::FaultFs>(
@@ -605,7 +606,7 @@ TEST(CrashRecoveryTest, SuperManifestCrashWalkRecoversBenignly) {
           for (int i = 0; i < 10; ++i) {
             // Puts touch only shard disks; they must keep succeeding.
             const std::string key = Key(100 + (round * 10 + i) % 60);
-            const std::string value = "super" + std::to_string(round);
+            const std::string value = test_util::Cat("super", round);
             ASSERT_TRUE(db.value()->Put(key, value).ok());
             shadow[key] = value;
           }

@@ -5,6 +5,7 @@
 
 #include "auth/adversary.h"
 #include "ct/ct.h"
+#include "str_cat.h"
 
 namespace elsm::ct {
 namespace {
@@ -14,7 +15,7 @@ Certificate MakeCert(const std::string& host, uint64_t serial,
   Certificate cert;
   cert.hostname = host;
   cert.issuer = issuer;
-  cert.public_key = "pk-" + host + "-" + std::to_string(serial);
+  cert.public_key = test_util::Cat("pk-", host, "-", serial);
   cert.serial = serial;
   return cert;
 }
@@ -138,7 +139,7 @@ TEST(CtSecurityTest, TamperedLogDetectedByAuditor) {
   ASSERT_TRUE(log.ok());
   for (int i = 0; i < 200; ++i) {
     ASSERT_TRUE(
-        log.value()->Submit(MakeCert("host" + std::to_string(i) + ".com",
+        log.value()->Submit(MakeCert(test_util::Cat("host", i, ".com"),
                                      uint64_t(i)))
             .ok());
   }
@@ -154,7 +155,7 @@ TEST(CtSecurityTest, TamperedLogDetectedByAuditor) {
   Auditor auditor(log.value().get());
   int misbehaved = 0;
   for (int i = 0; i < 200; ++i) {
-    if (auditor.Validate(MakeCert("host" + std::to_string(i) + ".com",
+    if (auditor.Validate(MakeCert(test_util::Cat("host", i, ".com"),
                                   uint64_t(i))) ==
         Auditor::Verdict::kLogMisbehaved) {
       ++misbehaved;

@@ -9,6 +9,7 @@
 
 #include "elsm/elsm_db.h"
 #include "storage/simfs.h"
+#include "str_cat.h"
 
 namespace elsm {
 namespace {
@@ -31,7 +32,7 @@ std::string Key(int i) {
 }
 
 std::string Value(int i, int version = 0) {
-  return "value-" + std::to_string(i) + "-v" + std::to_string(version);
+  return test_util::Cat("value-", i, "-v", version);
 }
 
 class ElsmDbModeTest : public ::testing::TestWithParam<Mode> {};

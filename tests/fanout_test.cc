@@ -25,6 +25,7 @@
 #include "common/random.h"
 #include "common/thread_pool.h"
 #include "elsm/sharded_db.h"
+#include "str_cat.h"
 
 namespace elsm {
 namespace {
@@ -72,14 +73,13 @@ void ExpectRecordsEqual(const std::vector<lsm::Record>& seq,
 
 TEST(FanoutPropertyTest, ParallelMatchesSequentialAcrossRandomizedWorkloads) {
   for (uint64_t seed = 0; seed < 8; ++seed) {
-    SCOPED_TRACE("seed " + std::to_string(seed));
+    SCOPED_TRACE(test_util::Cat("seed ", seed));
     Rng rng(0xfa40 + seed);
     const uint32_t shards = 1 + uint32_t(rng.Uniform(8));      // 1..8
     const uint32_t pool_size = uint32_t(rng.Uniform(9));       // 0..8
     const bool skew = seed % 3 == 2;  // every third seed: one-shard pile-up
-    SCOPED_TRACE("shards=" + std::to_string(shards) +
-                 " pool=" + std::to_string(pool_size) +
-                 (skew ? " skew" : ""));
+    SCOPED_TRACE(test_util::Cat("shards=", shards, " pool=", pool_size,
+                                skew ? " skew" : ""));
 
     auto seq = ShardedDb::Create(FanoutOptions(0), shards);
     auto par = ShardedDb::Create(FanoutOptions(pool_size), shards);
@@ -101,7 +101,7 @@ TEST(FanoutPropertyTest, ParallelMatchesSequentialAcrossRandomizedWorkloads) {
         if (rng.Bernoulli(0.15)) {
           batch.Delete(key);
         } else {
-          batch.Put(key, "r" + std::to_string(round) + "-" + key);
+          batch.Put(key, test_util::Cat("r", round, "-", key));
         }
       }
       ASSERT_TRUE(seq.value()->Write(batch).ok());
@@ -109,7 +109,7 @@ TEST(FanoutPropertyTest, ParallelMatchesSequentialAcrossRandomizedWorkloads) {
       // Interleave point writes so memtables/flush boundaries move too.
       for (int i = 0; i < 10; ++i) {
         const std::string key = Key(rng.Uniform(kSpace));
-        const std::string value = "p" + std::to_string(round * 10 + i);
+        const std::string value = test_util::Cat("p", round * 10 + i);
         touched.push_back(key);
         ASSERT_TRUE(seq.value()->Put(key, value).ok());
         ASSERT_TRUE(par.value()->Put(key, value).ok());
@@ -172,8 +172,8 @@ TEST(FanoutPropertyTest, SharedPoolServesMultipleStores) {
   EXPECT_EQ(a.value()->fanout_pool().get(), pool.get());
   EXPECT_EQ(b.value()->fanout_pool().get(), pool.get());
   for (int i = 0; i < 200; ++i) {
-    ASSERT_TRUE(a.value()->Put(Key(i), "a" + std::to_string(i)).ok());
-    ASSERT_TRUE(b.value()->Put(Key(i), "b" + std::to_string(i)).ok());
+    ASSERT_TRUE(a.value()->Put(Key(i), test_util::Cat("a", i)).ok());
+    ASSERT_TRUE(b.value()->Put(Key(i), test_util::Cat("b", i)).ok());
   }
   auto sa = a.value()->Scan(Key(0), Key(199));
   auto sb = b.value()->Scan(Key(0), Key(199));
@@ -197,7 +197,7 @@ TEST(FanoutPropertyTest, MaintenancePathsFanOutAcrossShards) {
   auto db = ShardedDb::Open(FanoutOptions(/*fanout_threads=*/4), 4, env);
   ASSERT_TRUE(db.ok()) << db.status().ToString();
   for (uint64_t i = 0; i < 400; ++i) {
-    ASSERT_TRUE(db.value()->Put(Key(i), "v" + std::to_string(i)).ok());
+    ASSERT_TRUE(db.value()->Put(Key(i), test_util::Cat("v", i)).ok());
   }
   const uint64_t dispatches_before =
       db.value()->fanout_stats().parallel_dispatches.load();
@@ -210,7 +210,7 @@ TEST(FanoutPropertyTest, MaintenancePathsFanOutAcrossShards) {
     auto got = db.value()->GetVerified(Key(i));
     ASSERT_TRUE(got.ok()) << got.status().ToString();
     ASSERT_TRUE(got.value().record.has_value());
-    EXPECT_EQ(got.value().record->value, "v" + std::to_string(i));
+    EXPECT_EQ(got.value().record->value, test_util::Cat("v", i));
   }
   ASSERT_TRUE(db.value()->Close().ok());
   // The super-manifest recorded post-maintenance shard digests: reopen.
@@ -303,7 +303,7 @@ class FanoutAdversaryTest : public ::testing::Test {
     db_ = std::move(db).value();
     for (int i = 0; i < 400; ++i) {
       keys_.push_back(Key(i));
-      ASSERT_TRUE(db_->Put(keys_.back(), "genuine" + std::to_string(i)).ok());
+      ASSERT_TRUE(db_->Put(keys_.back(), test_util::Cat("genuine", i)).ok());
     }
     ASSERT_TRUE(db_->Flush().ok());
   }

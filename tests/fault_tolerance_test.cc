@@ -33,6 +33,7 @@
 #include "storage/posix_fs.h"
 #include "storage/simfs.h"
 #include "temp_dir.h"
+#include "str_cat.h"
 
 namespace elsm {
 namespace {
@@ -251,7 +252,7 @@ void RunErrorPointWalk(const std::string& backend, TransientKind kind,
                        uint64_t max_k) {
   uint64_t fired_points = 0;
   for (uint64_t k = 1; k <= max_k; ++k) {
-    SCOPED_TRACE("fault at eligible op " + std::to_string(k));
+    SCOPED_TRACE(test_util::Cat("fault at eligible op ", k));
     auto enclave = std::make_shared<sgx::Enclave>(sgx::CostModel{}, true);
     test_util::TempDir dir;
     auto fs = std::make_shared<FaultFs>(MakeBase(backend, enclave, dir));
@@ -283,7 +284,7 @@ void RunErrorPointWalk(const std::string& backend, TransientKind kind,
     };
     for (uint64_t op = 0; op < 140; ++op) {
       const std::string key = Key(op % 40);
-      const std::string value = "walk" + std::to_string(op);
+      const std::string value = test_util::Cat("walk", op);
       Status s = db.value()->Put(key, value);
       if (s.ok()) {
         shadow[key] = value;

@@ -35,6 +35,7 @@
 #include "storage/posix_fs.h"
 #include "storage/simfs.h"
 #include "temp_dir.h"
+#include "str_cat.h"
 
 namespace elsm {
 namespace {
@@ -55,7 +56,7 @@ std::string Key(int thread, int i) {
 }
 
 std::string Value(int thread, int i) {
-  return "value-" + std::to_string(thread) + "-" + std::to_string(i);
+  return test_util::Cat("value-", thread, "-", i);
 }
 
 lsm::Record MakeRecord(const std::string& key, const std::string& value,
@@ -439,9 +440,8 @@ TEST_P(GroupCommitBackendTest, CrashWalkRecoversAckedPrefix) {
         auto scanned = again.value()->Scan(Key(0, 0), "t99");
         ASSERT_TRUE(scanned.ok()) << scanned.status().ToString();
         for (const auto& r : scanned.value()) {
-          EXPECT_EQ(r.value, "value-" + std::to_string(r.key[2] - '0') +
-                                 "-" + std::to_string(std::stoi(
-                                           r.key.substr(7))))
+          EXPECT_EQ(r.value, test_util::Cat("value-", r.key[2] - '0', "-",
+                                            std::stoi(r.key.substr(7))))
               << "foreign record " << r.key;
         }
         ASSERT_TRUE(again.value()->Close().ok());

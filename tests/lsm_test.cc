@@ -14,6 +14,7 @@
 #include "lsm/sstable.h"
 #include "lsm/version.h"
 #include "storage/simfs.h"
+#include "str_cat.h"
 
 namespace elsm::lsm {
 namespace {
@@ -78,12 +79,12 @@ TEST(SkipListTest, InsertAndFindNewest) {
 TEST(SkipListTest, TimeTravelVisibility) {
   SkipList list;
   for (uint64_t ts = 1; ts <= 10; ++ts) {
-    list.Insert(MakeRecord("k", "v" + std::to_string(ts), ts));
+    list.Insert(MakeRecord("k", test_util::Cat("v", ts), ts));
   }
   for (uint64_t ts = 1; ts <= 10; ++ts) {
     const Record* r = list.Find("k", ts);
     ASSERT_NE(r, nullptr);
-    EXPECT_EQ(r->value, "v" + std::to_string(ts));
+    EXPECT_EQ(r->value, test_util::Cat("v", ts));
   }
   EXPECT_EQ(list.Find("k", 0), nullptr);
 }
@@ -92,7 +93,7 @@ TEST(SkipListTest, IteratorYieldsSortedOrder) {
   SkipList list;
   Rng rng(7);
   for (int i = 0; i < 500; ++i) {
-    list.Insert(MakeRecord("key" + std::to_string(rng.Uniform(100)), "v",
+    list.Insert(MakeRecord(test_util::Cat("key", rng.Uniform(100)), "v",
                            uint64_t(i + 1)));
   }
   InternalKeyLess less;
@@ -117,18 +118,18 @@ TEST(SkipListTest, FindMissingKey) {
 
 TEST(BloomTest, NoFalseNegatives) {
   BloomFilter bloom(10, 2000);
-  for (int i = 0; i < 2000; ++i) bloom.Add("key" + std::to_string(i));
+  for (int i = 0; i < 2000; ++i) bloom.Add(test_util::Cat("key", i));
   for (int i = 0; i < 2000; ++i) {
-    EXPECT_TRUE(bloom.MayContain("key" + std::to_string(i))) << i;
+    EXPECT_TRUE(bloom.MayContain(test_util::Cat("key", i))) << i;
   }
 }
 
 TEST(BloomTest, LowFalsePositiveRate) {
   BloomFilter bloom(10, 2000);
-  for (int i = 0; i < 2000; ++i) bloom.Add("key" + std::to_string(i));
+  for (int i = 0; i < 2000; ++i) bloom.Add(test_util::Cat("key", i));
   int fps = 0;
   for (int i = 0; i < 10000; ++i) {
-    if (bloom.MayContain("absent" + std::to_string(i))) ++fps;
+    if (bloom.MayContain(test_util::Cat("absent", i))) ++fps;
   }
   EXPECT_LT(fps, 300);  // ~1% expected at 10 bits/key; generous bound
 }
@@ -140,11 +141,11 @@ TEST(BloomTest, EmptyFilterRejectsEverything) {
 
 TEST(BloomTest, EncodeDecodeRoundTrip) {
   BloomFilter bloom(10, 100);
-  for (int i = 0; i < 100; ++i) bloom.Add("k" + std::to_string(i));
+  for (int i = 0; i < 100; ++i) bloom.Add(test_util::Cat("k", i));
   BloomFilter decoded = BloomFilter::Decode(bloom.Encode());
   EXPECT_EQ(decoded.key_count(), bloom.key_count());
   for (int i = 0; i < 100; ++i) {
-    EXPECT_TRUE(decoded.MayContain("k" + std::to_string(i)));
+    EXPECT_TRUE(decoded.MayContain(test_util::Cat("k", i)));
   }
 }
 
@@ -153,8 +154,8 @@ TEST(SSTableTest, BuildAndParseBlocks) {
   for (int i = 0; i < 100; ++i) {
     char key[16];
     std::snprintf(key, sizeof(key), "k%04d", i);
-    builder.Add(MakeRecord(key, "value" + std::to_string(i), uint64_t(i + 1)),
-                "proof" + std::to_string(i));
+    builder.Add(MakeRecord(key, test_util::Cat("value", i), uint64_t(i + 1)),
+                test_util::Cat("proof", i));
   }
   FileMeta meta;
   const std::string image = builder.Finish(&meta);
@@ -326,7 +327,7 @@ TEST(EngineTest, RippleCompactionRespectsCapacities) {
   EngineHarness h;
   // Push enough data through flush+compact cycles to build several levels.
   for (int round = 0; round < 30; ++round) {
-    h.Fill(20, uint64_t(round) * 1000 + 1, ("r" + std::to_string(round)).c_str());
+    h.Fill(20, uint64_t(round) * 1000 + 1, test_util::Cat("r", round).c_str());
     ASSERT_TRUE(h.engine.Flush().ok());
     ASSERT_TRUE(h.engine.MaybeCompact().ok());
   }
@@ -420,17 +421,21 @@ TEST(EngineTest, ListenerSealInstalledOnLevels) {
   struct CountingListener : CompactionListener {
     int input_runs = 0;
     int outputs = 0;
-    Status OnInputRun(int, const std::vector<RawEntry>&,
-                      const LevelMeta*) override {
+    uint64_t output_records = 0;
+    Status OnInputRunBegin(size_t, int, const LevelMeta*) override {
       ++input_runs;
       return Status::Ok();
     }
-    Result<CompactionSeal> OnOutput(
-        const std::vector<Record>& output) override {
+    Status OnOutputGroup(const std::vector<Record>& group,
+                         std::vector<std::string>*) override {
+      output_records += group.size();
+      return Status::Ok();
+    }
+    Result<CompactionSeal> OnOutputEnd() override {
       ++outputs;
       CompactionSeal seal;
       seal.root = crypto::Sha256::Digest("sealed");
-      seal.leaf_count = output.size();
+      seal.leaf_count = output_records;
       return seal;
     }
   };
@@ -448,7 +453,7 @@ TEST(EngineTest, ListenerSealInstalledOnLevels) {
 
 TEST(EngineTest, ListenerFailureAbortsCompaction) {
   struct RejectingListener : CompactionListener {
-    Result<CompactionSeal> OnOutput(const std::vector<Record>&) override {
+    Result<CompactionSeal> OnOutputEnd() override {
       return Status::AuthFailure("no");
     }
   };

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "crypto/merkle.h"
+#include "str_cat.h"
 
 namespace elsm::crypto {
 namespace {
@@ -14,7 +15,7 @@ std::vector<Hash256> MakeLeaves(uint64_t n) {
   std::vector<Hash256> leaves;
   leaves.reserve(n);
   for (uint64_t i = 0; i < n; ++i) {
-    leaves.push_back(Sha256::Digest("leaf-" + std::to_string(i)));
+    leaves.push_back(Sha256::Digest(test_util::Cat("leaf-", i)));
   }
   return leaves;
 }

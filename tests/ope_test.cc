@@ -10,6 +10,7 @@
 #include "crypto/ope.h"
 #include "elsm/elsm_db.h"
 #include "storage/simfs.h"
+#include "str_cat.h"
 
 namespace elsm {
 namespace {
@@ -86,7 +87,7 @@ TEST(OpeDbTest, VerifiedRangeQueriesOverEncryptedKeys) {
   for (int i = 0; i < 80; ++i) {
     char key[16];
     std::snprintf(key, sizeof(key), "k%05d", i);
-    ASSERT_TRUE(db.value()->Put(key, "v" + std::to_string(i)).ok());
+    ASSERT_TRUE(db.value()->Put(key, test_util::Cat("v", i)).ok());
   }
   ASSERT_TRUE(db.value()->Flush().ok());
 
@@ -130,16 +131,16 @@ TEST(WriteBatchTest, AtomicBatchApplies) {
 
   ElsmDb::WriteBatch batch;
   for (int i = 0; i < 50; ++i) {
-    batch.Put("batch" + std::to_string(i), "v" + std::to_string(i));
+    batch.Put(test_util::Cat("batch", i), test_util::Cat("v", i));
   }
   batch.Delete("stale");
   ASSERT_TRUE(db.value()->Write(batch).ok());
 
   for (int i = 0; i < 50; ++i) {
-    auto got = db.value()->Get("batch" + std::to_string(i));
+    auto got = db.value()->Get(test_util::Cat("batch", i));
     ASSERT_TRUE(got.ok());
     ASSERT_TRUE(got.value().has_value());
-    EXPECT_EQ(*got.value(), "v" + std::to_string(i));
+    EXPECT_EQ(*got.value(), test_util::Cat("v", i));
   }
   EXPECT_FALSE(db.value()->Get("stale").value().has_value());
 }
@@ -152,12 +153,12 @@ TEST(WriteBatchTest, BatchSurvivesFlushAndCompaction) {
   ASSERT_TRUE(db.ok());
   ElsmDb::WriteBatch batch;
   for (int i = 0; i < 200; ++i) {
-    batch.Put("k" + std::to_string(i), "v" + std::to_string(i));
+    batch.Put(test_util::Cat("k", i), test_util::Cat("v", i));
   }
   ASSERT_TRUE(db.value()->Write(batch).ok());
   ASSERT_TRUE(db.value()->CompactAll().ok());
   for (int i = 0; i < 200; i += 17) {
-    auto got = db.value()->Get("k" + std::to_string(i));
+    auto got = db.value()->Get(test_util::Cat("k", i));
     ASSERT_TRUE(got.ok());
     EXPECT_TRUE(got.value().has_value()) << i;
   }

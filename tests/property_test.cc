@@ -1,16 +1,23 @@
-// Property-based tests: randomized operation sequences checked against a
-// std::map reference model in every mode, plus protocol invariants —
+// Property-based tests: randomized operation sequences (puts, deletes,
+// batches, gets, multigets, scans, flushes, compactions and reopens on the
+// same disk) checked against a std::map reference model in every mode and
+// across the options that select between code paths, plus protocol
+// invariants —
 // verification always succeeds for an honest host (Definition 5.2,
 // protocol correctness), proofs stop at the hit level (Lemma 5.4), and
 // timestamps strictly decrease down the level stack.
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "common/random.h"
 #include "elsm/elsm_db.h"
+#include "storage/simfs.h"
+#include "str_cat.h"
 
 namespace elsm {
 namespace {
@@ -29,19 +36,58 @@ Options FuzzOptions(Mode mode, uint64_t seed) {
   return o;
 }
 
+// Option variants layered on a seed's geometry, one or two at a time.
+enum Variant : uint32_t {
+  kAsyncFlush = 1u << 0,
+  kBackgroundCompaction = 1u << 1,
+  kNoMultiGetBatching = 1u << 2,
+  kEmbedFullPaths = 1u << 3,
+  kUnauthenticated = 1u << 4,
+};
+
 struct ModelCase {
   Mode mode;
+  uint32_t variants;  // Variant bits; 0 = the seed's plain options
   uint64_t seed;
 };
+
+Options CaseOptions(const ModelCase& c) {
+  Options o = FuzzOptions(c.mode, c.seed);
+  o.async_flush = (c.variants & kAsyncFlush) != 0;
+  o.background_compaction = (c.variants & kBackgroundCompaction) != 0;
+  o.multiget_batching = (c.variants & kNoMultiGetBatching) == 0;
+  o.embed_full_paths = (c.variants & kEmbedFullPaths) != 0;
+  o.authenticate_data = (c.variants & kUnauthenticated) == 0;
+  return o;
+}
+
+std::string CaseName(const ModelCase& c) {
+  std::string name = c.mode == Mode::kP2
+                         ? "P2"
+                         : (c.mode == Mode::kP1 ? "P1" : "Raw");
+  if (c.variants & kAsyncFlush) name += "AsyncFlush";
+  if (c.variants & kBackgroundCompaction) name += "BgCompaction";
+  if (c.variants & kNoMultiGetBatching) name += "NoBatching";
+  if (c.variants & kEmbedFullPaths) name += "EmbedPaths";
+  if (c.variants & kUnauthenticated) name += "Unauthenticated";
+  return test_util::Cat(name, "Seed", c.seed);
+}
 
 class RandomOpsTest : public ::testing::TestWithParam<ModelCase> {};
 
 TEST_P(RandomOpsTest, MatchesReferenceModel) {
-  const auto [mode, seed] = GetParam();
-  auto db = ElsmDb::Create(FuzzOptions(mode, seed));
-  ASSERT_TRUE(db.ok());
+  const ModelCase& param = GetParam();
+  const Options options = CaseOptions(param);
+  // Reopens reuse the untrusted disk and the trusted platform, like a
+  // power cycle.
+  auto platform = std::make_shared<TrustedPlatform>();
+  auto fs = std::make_shared<storage::SimFs>(
+      std::make_shared<sgx::Enclave>(options.cost_model, true));
+  auto opened = ElsmDb::Open(options, fs, platform);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  std::unique_ptr<ElsmDb> db = std::move(opened).value();
   std::map<std::string, std::optional<std::string>> model;
-  Rng rng(seed);
+  Rng rng(param.seed);
 
   auto key_of = [](uint64_t i) {
     char buf[16];
@@ -49,33 +95,63 @@ TEST_P(RandomOpsTest, MatchesReferenceModel) {
                   static_cast<unsigned long long>(i));
     return std::string(buf);
   };
+  auto value_of = [](int op, uint64_t part) {
+    return test_util::Cat("v", op, ".", part);
+  };
+  auto expect_value = [&](const std::string& key,
+                          const std::optional<std::string>& got, int op) {
+    auto it = model.find(key);
+    const bool expect_present = it != model.end() && it->second.has_value();
+    ASSERT_EQ(got.has_value(), expect_present)
+        << "op=" << op << " key=" << key;
+    if (expect_present) {
+      EXPECT_EQ(*got, *it->second) << "op=" << op << " key=" << key;
+    }
+  };
 
   for (int op = 0; op < 2000; ++op) {
     const uint64_t which = rng.Uniform(100);
     const std::string key = key_of(rng.Uniform(150));
-    if (which < 55) {  // put
-      const std::string value = "v" + std::to_string(op);
-      ASSERT_TRUE(db.value()->Put(key, value).ok());
+    if (which < 45) {  // put
+      const std::string value = value_of(op, 0);
+      ASSERT_TRUE(db->Put(key, value).ok());
       model[key] = value;
-    } else if (which < 65) {  // delete
-      ASSERT_TRUE(db.value()->Delete(key).ok());
+    } else if (which < 55) {  // delete
+      ASSERT_TRUE(db->Delete(key).ok());
       model[key] = std::nullopt;
-    } else if (which < 95) {  // get
-      auto got = db.value()->Get(key);
-      ASSERT_TRUE(got.ok()) << got.status().ToString() << " op=" << op;
-      auto it = model.find(key);
-      const bool expect_present =
-          it != model.end() && it->second.has_value();
-      ASSERT_EQ(got.value().has_value(), expect_present)
-          << "op=" << op << " key=" << key;
-      if (expect_present) {
-        EXPECT_EQ(*got.value(), *it->second);
+    } else if (which < 60) {  // write batch (later entries win a key)
+      ElsmDb::WriteBatch batch;
+      const uint64_t n = 1 + rng.Uniform(8);
+      for (uint64_t i = 0; i < n; ++i) {
+        const std::string k = key_of(rng.Uniform(150));
+        if (rng.Uniform(4) == 0) {
+          batch.Delete(k);
+          model[k] = std::nullopt;
+        } else {
+          batch.Put(k, value_of(op, i));
+          model[k] = value_of(op, i);
+        }
       }
-    } else if (which < 98) {  // scan
+      ASSERT_TRUE(db->Write(batch).ok()) << "op=" << op;
+    } else if (which < 85) {  // get
+      auto got = db->Get(key);
+      ASSERT_TRUE(got.ok()) << got.status().ToString() << " op=" << op;
+      expect_value(key, got.value(), op);
+    } else if (which < 90) {  // multiget (duplicates allowed)
+      std::vector<std::string> keys{key};
+      const uint64_t n = rng.Uniform(8);
+      for (uint64_t i = 0; i < n; ++i) keys.push_back(key_of(rng.Uniform(150)));
+      auto got = db->MultiGet(keys);
+      ASSERT_TRUE(got.ok()) << got.status().ToString() << " op=" << op;
+      ASSERT_EQ(got.value().size(), keys.size());
+      for (size_t i = 0; i < keys.size(); ++i) {
+        expect_value(keys[i], got.value()[i], op);
+      }
+    } else if (which < 96) {  // scan
       const std::string hi = key_of(rng.Uniform(150));
       const std::string lo = std::min(key, hi);
       const std::string hi2 = std::max(key, hi);
-      auto scan = db.value()->Scan(lo, hi2);
+      auto scan = db->Scan(lo, hi2);
       ASSERT_TRUE(scan.ok()) << scan.status().ToString() << " op=" << op;
       std::map<std::string, std::string> expect;
       for (auto it2 = model.lower_bound(lo);
@@ -88,30 +164,52 @@ TEST_P(RandomOpsTest, MatchesReferenceModel) {
         ASSERT_NE(it2, expect.end()) << r.key;
         EXPECT_EQ(r.value, it2->second);
       }
-    } else {  // flush or full compaction
-      if (which == 98) {
-        ASSERT_TRUE(db.value()->Flush().ok());
-      } else {
-        ASSERT_TRUE(db.value()->CompactAll().ok());
-      }
+    } else if (which < 98) {  // flush
+      ASSERT_TRUE(db->Flush().ok()) << "op=" << op;
+    } else if (which == 98) {  // full compaction
+      ASSERT_TRUE(db->CompactAll().ok()) << "op=" << op;
+    } else {  // close, then reopen on the same disk and platform
+      ASSERT_TRUE(db->WaitForFlush().ok()) << "op=" << op;
+      ASSERT_TRUE(db->WaitForCompaction().ok()) << "op=" << op;
+      ASSERT_TRUE(db->Close().ok()) << "op=" << op;
+      db.reset();
+      auto reopened = ElsmDb::Open(options, fs, platform);
+      ASSERT_TRUE(reopened.ok())
+          << reopened.status().ToString() << " op=" << op;
+      db = std::move(reopened).value();
     }
   }
+  EXPECT_TRUE(db->WaitForFlush().ok());
+  EXPECT_TRUE(db->WaitForCompaction().ok());
 }
 
 INSTANTIATE_TEST_SUITE_P(
     ModesAndSeeds, RandomOpsTest,
-    ::testing::Values(ModelCase{Mode::kP2, 1}, ModelCase{Mode::kP2, 2},
-                      ModelCase{Mode::kP2, 3}, ModelCase{Mode::kP2, 4},
-                      ModelCase{Mode::kP1, 5}, ModelCase{Mode::kP1, 6},
-                      ModelCase{Mode::kUnsecured, 7},
-                      ModelCase{Mode::kP2, 8}, ModelCase{Mode::kP2, 9},
-                      ModelCase{Mode::kP2, 10}),
-    [](const auto& info) {
-      const char* m = info.param.mode == Mode::kP2
-                          ? "P2"
-                          : (info.param.mode == Mode::kP1 ? "P1" : "Raw");
-      return std::string(m) + "Seed" + std::to_string(info.param.seed);
-    });
+    ::testing::Values(ModelCase{Mode::kP2, 0, 1}, ModelCase{Mode::kP2, 0, 2},
+                      ModelCase{Mode::kP2, 0, 3}, ModelCase{Mode::kP2, 0, 4},
+                      ModelCase{Mode::kP1, 0, 5}, ModelCase{Mode::kP1, 0, 6},
+                      ModelCase{Mode::kUnsecured, 0, 7},
+                      ModelCase{Mode::kP2, 0, 8}, ModelCase{Mode::kP2, 0, 9},
+                      ModelCase{Mode::kP2, 0, 10}),
+    [](const auto& info) { return CaseName(info.param); });
+
+// The same model check across the options that select between code paths.
+// Odd seeds use the buffer read path (see FuzzOptions), where MultiGet
+// batching and verified block admission apply.
+INSTANTIATE_TEST_SUITE_P(
+    OptionMatrix, RandomOpsTest,
+    ::testing::Values(
+        ModelCase{Mode::kP2, kAsyncFlush, 11},
+        ModelCase{Mode::kP2, kBackgroundCompaction, 12},
+        ModelCase{Mode::kP2, kAsyncFlush | kBackgroundCompaction, 13},
+        ModelCase{Mode::kP2, kNoMultiGetBatching, 15},
+        ModelCase{Mode::kP2, kEmbedFullPaths, 16},
+        ModelCase{Mode::kP2, kEmbedFullPaths | kBackgroundCompaction, 17},
+        ModelCase{Mode::kP2, kUnauthenticated, 19},
+        ModelCase{Mode::kP2, kUnauthenticated | kAsyncFlush, 20},
+        ModelCase{Mode::kP1, kAsyncFlush, 21},
+        ModelCase{Mode::kUnsecured, kBackgroundCompaction, 23}),
+    [](const auto& info) { return CaseName(info.param); });
 
 TEST(ProtocolInvariants, EarlyStopOmitsDeeperLevels) {
   // Lemma 5.4 consequence: the proof for a found key ends at the hit level.
@@ -123,7 +221,7 @@ TEST(ProtocolInvariants, EarlyStopOmitsDeeperLevels) {
     for (int i = 0; i < 100; ++i) {
       char key[16];
       std::snprintf(key, sizeof(key), "k%05d", i);
-      ASSERT_TRUE(db.value()->Put(key, "gen" + std::to_string(gen)).ok());
+      ASSERT_TRUE(db.value()->Put(key, test_util::Cat("gen", gen)).ok());
     }
     ASSERT_TRUE(gen == 0 ? db.value()->CompactAll().ok()
                          : db.value()->Flush().ok());
@@ -146,7 +244,7 @@ TEST(ProtocolInvariants, TimestampsDecreaseDownTheStack) {
     char key[16];
     std::snprintf(key, sizeof(key), "k%05llu",
                   static_cast<unsigned long long>(rng.Uniform(200)));
-    ASSERT_TRUE(db.value()->Put(key, "v" + std::to_string(op)).ok());
+    ASSERT_TRUE(db.value()->Put(key, test_util::Cat("v", op)).ok());
   }
   ASSERT_TRUE(db.value()->Flush().ok());
 
@@ -182,7 +280,7 @@ TEST(ProtocolInvariants, VerifiedAndUnverifiedAgree) {
     char key[16];
     std::snprintf(key, sizeof(key), "k%05llu",
                   static_cast<unsigned long long>(rng.Uniform(100)));
-    const std::string value = "v" + std::to_string(op);
+    const std::string value = test_util::Cat("v", op);
     ASSERT_TRUE(db1.value()->Put(key, value).ok());
     ASSERT_TRUE(db2.value()->Put(key, value).ok());
   }

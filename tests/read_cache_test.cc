@@ -14,6 +14,7 @@
 #include "elsm/elsm_db.h"
 #include "storage/read_buffer.h"
 #include "storage/simfs.h"
+#include "str_cat.h"
 
 namespace elsm {
 namespace {
@@ -176,7 +177,7 @@ TEST(ReadCacheConcurrencyTest, ConcurrentMissStressKeepsExactAccounting) {
         auto loader = [size]() -> Result<std::string> {
           return std::string(size, 'm');
         };
-        const std::string name = "f" + std::to_string(file);
+        const std::string name = test_util::Cat("f", file);
         auto r = buffer.Get(name, offset, crypto::kZeroHash, loader);
         ASSERT_TRUE(r.ok());
         if (i % 97 == 0) buffer.Invalidate(name);
@@ -238,7 +239,7 @@ TEST(ReadCacheLifecycleTest, ObsoleteFilePurgeEvictsBufferAndTreeHandles) {
   ASSERT_TRUE(db.ok());
   auto& store = *db.value();
   for (int i = 0; i < 200; ++i) {
-    ASSERT_TRUE(store.Put(Key(i), "gen0-" + std::to_string(i)).ok());
+    ASSERT_TRUE(store.Put(Key(i), test_util::Cat("gen0-", i)).ok());
   }
   ASSERT_TRUE(store.CompactAll().ok());
   // Populate block cache + tree-handle cache against generation 0.
@@ -253,7 +254,7 @@ TEST(ReadCacheLifecycleTest, ObsoleteFilePurgeEvictsBufferAndTreeHandles) {
   // Generation 1 rewrites the level stack; the old SSTables and sidecars
   // retire through the tracker purge, which must sweep the caches.
   for (int i = 0; i < 200; ++i) {
-    ASSERT_TRUE(store.Put(Key(i), "gen1-" + std::to_string(i)).ok());
+    ASSERT_TRUE(store.Put(Key(i), test_util::Cat("gen1-", i)).ok());
   }
   ASSERT_TRUE(store.CompactAll().ok());
   EXPECT_GT(store.read_cache_stats().invalidations, 0u);
@@ -269,7 +270,7 @@ TEST(ReadCacheLifecycleTest, ObsoleteFilePurgeEvictsBufferAndTreeHandles) {
     auto r = store.GetVerified(Key(i));
     ASSERT_TRUE(r.ok());
     ASSERT_TRUE(r.value().record.has_value());
-    EXPECT_EQ(r.value().record->value, "gen1-" + std::to_string(i));
+    EXPECT_EQ(r.value().record->value, test_util::Cat("gen1-", i));
   }
 }
 
@@ -281,7 +282,7 @@ TEST(ReadCacheCounterTest, WarmVerifiedGetSkipsIoAndPathHashing) {
   ASSERT_TRUE(db.ok());
   auto& store = *db.value();
   for (int i = 0; i < 300; ++i) {
-    ASSERT_TRUE(store.Put(Key(i), "value-" + std::to_string(i)).ok());
+    ASSERT_TRUE(store.Put(Key(i), test_util::Cat("value-", i)).ok());
   }
   ASSERT_TRUE(store.CompactAll().ok());
 
@@ -333,6 +334,31 @@ TEST(ReadCacheCounterTest, PathCacheDisabledStillVerifies) {
   EXPECT_EQ(store.proof_path_cache_stats().lookups, 0u);
 }
 
+TEST(ReadCacheCounterTest, UnauthenticatedStoreHashesNoBlocks) {
+  // The "SGX port without authentication" baseline carries no integrity
+  // contract: admitting a cold block to the read buffer must not hash it.
+  Options o = BufferOptions();
+  o.authenticate_data = false;
+  auto db = ElsmDb::Create(o);
+  ASSERT_TRUE(db.ok());
+  auto& store = *db.value();
+  for (int i = 0; i < 300; ++i) {
+    ASSERT_TRUE(store.Put(Key(i), "v").ok());
+  }
+  ASSERT_TRUE(store.CompactAll().ok());
+  store.ClearReadCache();
+  const auto before = store.enclave().counters();
+  for (int i = 0; i < 300; i += 7) {
+    auto got = store.Get(Key(i));
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    ASSERT_TRUE(got.value().has_value()) << Key(i);
+  }
+  const auto after = store.enclave().counters();
+  EXPECT_GT(store.read_cache_stats().misses, 0u);
+  EXPECT_GT(after.file_bytes_read, before.file_bytes_read);
+  EXPECT_EQ(after.bytes_hashed, before.bytes_hashed);
+}
+
 // --- tamper: cached hits stay safe, dropped caches fail closed -------------
 
 TEST(ReadCacheTamperTest, CorruptedFileFailsClosedOnceCachesDrop) {
@@ -343,7 +369,7 @@ TEST(ReadCacheTamperTest, CorruptedFileFailsClosedOnceCachesDrop) {
   auto db = ElsmDb::Open(o, fs, platform);
   ASSERT_TRUE(db.ok());
   for (int i = 0; i < 200; ++i) {
-    ASSERT_TRUE(db.value()->Put(Key(i), "payload-" + std::to_string(i)).ok());
+    ASSERT_TRUE(db.value()->Put(Key(i), test_util::Cat("payload-", i)).ok());
   }
   ASSERT_TRUE(db.value()->CompactAll().ok());
   const std::string hot = Key(77);

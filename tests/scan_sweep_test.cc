@@ -7,6 +7,7 @@
 #include <map>
 
 #include "elsm/elsm_db.h"
+#include "str_cat.h"
 
 namespace elsm {
 namespace {
@@ -36,7 +37,7 @@ TEST_P(ScanSweepTest, AllGridRangesMatchReference) {
   for (int gen = 0; gen < 2; ++gen) {
     for (int i = 0; i < 120; ++i) {
       const std::string key = Key(i * stride);
-      const std::string value = "g" + std::to_string(gen) + "-" + key;
+      const std::string value = test_util::Cat("g", gen, "-", key);
       ASSERT_TRUE(db.value()->Put(key, value).ok());
       model[key] = value;
     }
@@ -77,7 +78,7 @@ TEST_P(ScanSweepTest, AllGridRangesMatchReference) {
 
 INSTANTIATE_TEST_SUITE_P(Strides, ScanSweepTest, ::testing::Values(1, 2, 5),
                          [](const auto& info) {
-                           return "Stride" + std::to_string(info.param);
+                           return test_util::Cat("Stride", info.param);
                          });
 
 }  // namespace

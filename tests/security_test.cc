@@ -10,6 +10,7 @@
 #include "elsm/elsm_db.h"
 #include "storage/simfs.h"
 #include "temp_dir.h"
+#include "str_cat.h"
 
 namespace elsm {
 namespace {
@@ -49,11 +50,11 @@ class SecurityTest : public ::testing::TestWithParam<const char*> {
     db_ = std::move(db).value();
     // Two generations of every key so stale-record attacks have material.
     for (int i = 0; i < 200; ++i) {
-      ASSERT_TRUE(db_->Put(Key(i), "gen0-" + std::to_string(i)).ok());
+      ASSERT_TRUE(db_->Put(Key(i), test_util::Cat("gen0-", i)).ok());
     }
     ASSERT_TRUE(db_->CompactAll().ok());
     for (int i = 0; i < 200; ++i) {
-      ASSERT_TRUE(db_->Put(Key(i), "gen1-" + std::to_string(i)).ok());
+      ASSERT_TRUE(db_->Put(Key(i), test_util::Cat("gen1-", i)).ok());
     }
     ASSERT_TRUE(db_->CompactAll().ok());
   }
@@ -382,7 +383,7 @@ class ManifestLogAdversaryTest : public ::testing::TestWithParam<const char*> {
       for (int i = 0; i < 40; ++i) {
         ASSERT_TRUE(
             db.value()
-                ->Put(Key(round * 40 + i), "v" + std::to_string(round))
+                ->Put(Key(round * 40 + i), test_util::Cat("v", round))
                 .ok());
       }
       ASSERT_TRUE(db.value()->Flush().ok());
@@ -444,7 +445,7 @@ TEST_P(ManifestLogAdversaryTest, HonestLogReplaysExactly) {
       auto got = db.value()->GetVerified(Key(round * 40 + i));
       ASSERT_TRUE(got.ok()) << got.status().ToString();
       ASSERT_TRUE(got.value().record.has_value());
-      EXPECT_EQ(got.value().record->value, "v" + std::to_string(round));
+      EXPECT_EQ(got.value().record->value, test_util::Cat("v", round));
     }
   }
   ASSERT_TRUE(db.value()->Close().ok());

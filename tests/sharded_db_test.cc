@@ -15,6 +15,7 @@
 #include "common/random.h"
 #include "elsm/sharded_db.h"
 #include "storage/fault_fs.h"
+#include "str_cat.h"
 
 namespace elsm {
 namespace {
@@ -50,7 +51,7 @@ TEST(ShardedDbTest, RoutingIsStableAndCoversAllShards) {
     // the former to predict placement).
     EXPECT_EQ(shard, ShardForKey(key, kShards));
     used.insert(shard);
-    ASSERT_TRUE(db.value()->Put(key, "v" + std::to_string(i)).ok());
+    ASSERT_TRUE(db.value()->Put(key, test_util::Cat("v", i)).ok());
   }
   EXPECT_EQ(used.size(), kShards) << "hash router left shards empty";
 
@@ -73,7 +74,7 @@ TEST(ShardedDbTest, CrossShardScanIsOrderedAndComplete) {
   Rng rng(0x5ca9);
   for (int i = 0; i < 600; ++i) {
     const std::string key = Key(int(rng.Uniform(400)));
-    const std::string value = "v" + std::to_string(i);
+    const std::string value = test_util::Cat("v", i);
     ASSERT_TRUE(db.value()->Put(key, value).ok());
     shadow[key] = value;
   }
@@ -117,8 +118,8 @@ TEST(ShardedDbTest, PersistsAcrossReopenViaSharedEnv) {
     auto db = ShardedDb::Open(ShardOptions(), 4, env);
     ASSERT_TRUE(db.ok()) << db.status().ToString();
     for (int i = 0; i < 300; ++i) {
-      ASSERT_TRUE(db.value()->Put(Key(i), "gen" + std::to_string(i)).ok());
-      shadow[Key(i)] = "gen" + std::to_string(i);
+      ASSERT_TRUE(db.value()->Put(Key(i), test_util::Cat("gen", i)).ok());
+      shadow[Key(i)] = test_util::Cat("gen", i);
     }
     ASSERT_TRUE(db.value()->Close().ok());
   }
@@ -167,7 +168,7 @@ class ShardedAdversaryTest : public ::testing::Test {
     ASSERT_TRUE(db.ok()) << db.status().ToString();
     db_ = std::move(db).value();
     for (int i = 0; i < 400; ++i) {
-      ASSERT_TRUE(db_->Put(Key(i), "genuine" + std::to_string(i)).ok());
+      ASSERT_TRUE(db_->Put(Key(i), test_util::Cat("genuine", i)).ok());
     }
     ASSERT_TRUE(db_->Flush().ok());
   }
@@ -203,12 +204,12 @@ TEST_F(ShardedAdversaryTest, TamperedShardSstableDetectedNotMisreturned) {
         ++failures;
       } else if (got.value().record.has_value()) {
         // A hit that did come back must still be the genuine value.
-        EXPECT_EQ(got.value().record->value, "genuine" + std::to_string(i));
+        EXPECT_EQ(got.value().record->value, test_util::Cat("genuine", i));
       }
     } else {
       ASSERT_TRUE(got.ok()) << got.status().ToString();
       ASSERT_TRUE(got.value().record.has_value());
-      EXPECT_EQ(got.value().record->value, "genuine" + std::to_string(i));
+      EXPECT_EQ(got.value().record->value, test_util::Cat("genuine", i));
     }
   }
   EXPECT_GT(failures, 0) << "tampering went unnoticed";
