@@ -18,11 +18,24 @@
 // Latencies are simulated microseconds, so sim and posix rows are directly
 // comparable (the posix series proves the cache behaves identically over
 // real files).
+//
+// The sim backend also replays the warm stream from 1 and 4 client
+// threads after reopening with a path cache far smaller than the tree
+// (see ReportWarmScaling), measured on the wall clock (simulated time is
+// a per-op cost and cannot show contention):
+//   * sim-warm-threads        — wall-clock us per verified Get at 1 and 4
+//                               threads ("us_wall", informational)
+//   * sim-warm-4t-over-1t     — 4-thread over 1-thread time per op, median
+//                               of 3 repetitions (gated; 0.25 is perfect
+//                               scaling, 1.0 is none)
 #include <unistd.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_common.h"
@@ -34,6 +47,7 @@ using namespace elsm::bench;
 namespace {
 
 constexpr const char* kBench = "fig_read_cache";
+constexpr size_t kChurnPathCacheEntries = 64;
 
 double MeasureZipfUs(ElsmDb& db, const std::vector<uint64_t>& keys) {
   const uint64_t start = db.enclave().now_ns();
@@ -46,6 +60,73 @@ double MeasureZipfUs(ElsmDb& db, const std::vector<uint64_t>& keys) {
     }
   }
   return double(db.enclave().now_ns() - start) / double(keys.size()) / 1000.0;
+}
+
+// Wall-clock us per verified Get while `threads` clients each replay the
+// key stream `rounds` times, every client from its own offset into it.
+double MeasureWallUs(ElsmDb& db, const std::vector<std::string>& keys,
+                     size_t threads, size_t rounds) {
+  const auto start = std::chrono::steady_clock::now();
+  std::vector<std::thread> clients;
+  for (size_t t = 0; t < threads; ++t) {
+    clients.emplace_back([&, t] {
+      const size_t offset = t * keys.size() / threads;
+      for (size_t i = 0; i < rounds * keys.size(); ++i) {
+        if (!db.GetVerified(keys[(offset + i) % keys.size()]).ok()) {
+          std::abort();
+        }
+      }
+    });
+  }
+  for (std::thread& client : clients) client.join();
+  const std::chrono::duration<double, std::micro> wall =
+      std::chrono::steady_clock::now() - start;
+  return wall.count() / double(threads * rounds * keys.size());
+}
+
+double Median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
+}
+
+// The threads run against a path cache far smaller than the tree, as on a
+// large store (perfbench's read-hot-zipf hits 99.4% of climbs yet hashes
+// about 3.85 path nodes per Get): every Get hashes, inserts and evicts a
+// few nodes, which is the work concurrent verified reads contend on.
+void ReportWarmScaling(const std::string& series, Store& store,
+                       const Options& options,
+                       const std::vector<uint64_t>& key_ids) {
+  Options churn = options;
+  churn.proof_path_cache_entries = kChurnPathCacheEntries;
+  Reopen(store, churn);
+  ElsmDb& db = *store.db;
+  std::vector<std::string> keys;
+  for (uint64_t k : key_ids) keys.push_back(ycsb::MakeKey(k, 16));
+  MeasureWallUs(db, keys, 1, 1);  // warm the block cache
+  const auto before = db.proof_path_cache_stats();
+  const size_t rounds = std::max<size_t>(4, 32 / QuickDivisor());
+  std::vector<double> one;
+  std::vector<double> four;
+  std::vector<double> ratio;
+  constexpr size_t kReps = 3;
+  for (size_t rep = 0; rep < kReps; ++rep) {
+    one.push_back(MeasureWallUs(db, keys, 1, rounds));
+    four.push_back(MeasureWallUs(db, keys, 4, rounds));
+    ratio.push_back(four.back() / one.back());
+  }
+  const auto after = db.proof_path_cache_stats();
+  const double gets = double(kReps * (1 + 4) * rounds * keys.size());
+  std::printf("         warm wall-clock: 1 thread %6.2f us/op, 4 threads "
+              "%6.2f us/op (4t/1t %.3f; %.2f path nodes hashed per get)\n",
+              Median(one), Median(four), Median(ratio),
+              double(after.path_nodes_hashed - before.path_nodes_hashed) /
+                  gets);
+  ReportRow(kBench, series + "-warm-threads", "threads", 1, Median(one),
+            "us_wall");
+  ReportRow(kBench, series + "-warm-threads", "threads", 4, Median(four),
+            "us_wall");
+  ReportRow(kBench, series + "-warm-4t-over-1t", "threads", 4, Median(ratio),
+            "x");
 }
 
 void RunBackend(const std::string& series, storage::BackendKind kind) {
@@ -118,6 +199,10 @@ void RunBackend(const std::string& series, storage::BackendKind kind) {
   ReportRow(kBench, series + "-memtable", "pass", 3, memtable_us);
   ReportRow(kBench, series + "-warm-over-uncached", "pass", 2,
             warm_us / uncached_us, "x");
+  // Last, so the threads' charges and cache churn touch no row above.
+  if (kind == storage::BackendKind::kSim) {
+    ReportWarmScaling(series, store, o, keys);
+  }
 
   store.db.reset();
   if (!dir.empty()) {

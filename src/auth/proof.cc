@@ -163,30 +163,9 @@ Result<crypto::MerkleRangeProof> TreeFile::RangeProof(uint64_t lo,
   return proof;
 }
 
-Result<const TreeFile*> ProofAssembler::Tree(const std::string& name) {
-  std::lock_guard<std::mutex> lock(trees_mu_);
-  auto it = trees_.find(name);
-  if (it == trees_.end()) {
-    auto tree = TreeFile::Open(*fs_, name);
-    if (!tree.ok()) return tree.status();
-    it = trees_.emplace(name, std::move(tree).value()).first;
-  }
-  return &it->second;
-}
-
-void ProofAssembler::Evict(const std::string& name) {
-  std::lock_guard<std::mutex> lock(trees_mu_);
-  trees_.erase(name);
-}
-
-void ProofAssembler::Clear() {
-  std::lock_guard<std::mutex> lock(trees_mu_);
-  trees_.clear();
-}
-
-size_t ProofAssembler::cached_trees() const {
-  std::lock_guard<std::mutex> lock(trees_mu_);
-  return trees_.size();
+Result<const TreeFile*> ProofAssembler::Tree(const lsm::LevelMeta& meta) {
+  return meta.sidecar->GetOrMake<TreeFile>(
+      [&] { return TreeFile::Open(*fs_, meta.tree_file); });
 }
 
 namespace {
@@ -224,7 +203,7 @@ Result<AssembledGet> ProofAssembler::AssembleGet(
         *path_out = *proof.path;
         return Status::Ok();
       }
-      auto tree = Tree(meta.tree_file);
+      auto tree = Tree(meta);
       if (!tree.ok()) return tree.status();
       auto path = tree.value()->Siblings(proof.leaf_index);
       if (!path.ok()) return path.status();
@@ -327,7 +306,7 @@ Result<AssembledScan> ProofAssembler::AssembleScan(
     }
     extend(al.succ);
     if (have) {
-      auto tree = Tree(meta.tree_file);
+      auto tree = Tree(meta);
       if (!tree.ok()) return tree.status();
       auto range = tree.value()->RangeProof(lo, hi);
       if (!range.ok()) return range.status();

@@ -12,8 +12,6 @@
 // literal layout is available via `embed_full_paths` and tested equal).
 #pragma once
 
-#include <map>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -107,8 +105,9 @@ struct AssembledScan {
 };
 
 // Untrusted-host role: turns engine responses into assembled proofs by
-// decoding embedded blobs and fetching sidecar hashes. Keeps per-level
-// TreeFile handles cached (mmap once per level generation).
+// decoding embedded blobs and fetching sidecar hashes. A level's TreeFile
+// is opened (mmap) once and hung on the level's LevelMeta::sidecar, so it
+// lives exactly as long as a snapshot that can read it.
 class ProofAssembler {
  public:
   explicit ProofAssembler(std::shared_ptr<storage::Fs> fs)
@@ -119,20 +118,10 @@ class ProofAssembler {
   Result<AssembledScan> AssembleScan(const lsm::ScanResponse& response,
                                      const std::vector<lsm::LevelMeta>& levels);
 
-  // Drops the cached handle for a compaction-deleted sidecar. Safe only for
-  // names no live Version references (the caller drains them from the file
-  // tracker, which requires every pinning snapshot to have died).
-  void Evict(const std::string& name);
-  // Drops every cached handle (manifest restore / reopen).
-  void Clear();
-  size_t cached_trees() const;
-
  private:
-  Result<const TreeFile*> Tree(const std::string& name);
+  Result<const TreeFile*> Tree(const lsm::LevelMeta& meta);
 
   std::shared_ptr<storage::Fs> fs_;
-  mutable std::mutex trees_mu_;  // concurrent readers share one assembler
-  std::map<std::string, TreeFile> trees_;
 };
 
 }  // namespace elsm::auth

@@ -1,5 +1,7 @@
 #include "auth/verifier.h"
 
+#include <algorithm>
+#include <cstring>
 #include <map>
 
 namespace elsm::auth {
@@ -14,21 +16,87 @@ Result<lsm::Record> DecodeEntry(const AssembledEntry& e) {
   return record;
 }
 
-// Cache key for a verified tree node: the enclave-held root it was verified
-// against, the tree level, and the node index within that level.
-std::string NodeKey(const crypto::Hash256& root, uint32_t level,
-                    uint64_t index) {
-  std::string key;
-  key.reserve(root.size() + 1 + 8);
-  key.append(reinterpret_cast<const char*>(root.data()), root.size());
-  key.push_back(static_cast<char>(level));  // tree height <= 64
-  for (int i = 0; i < 8; ++i) {
-    key.push_back(static_cast<char>((index >> (8 * i)) & 0xFF));
-  }
-  return key;
+}  // namespace
+
+uint64_t PathNodeCache::Hash(const Key& key) {
+  // The root is a SHA-256 digest, so its first word is already uniform;
+  // the multiply-xorshift spreads neighbouring indices across the table.
+  uint64_t h = 0;
+  std::memcpy(&h, key.root.data(), sizeof(h));
+  h += key.index * 0x9E3779B97F4A7C15ull + key.level;
+  h ^= h >> 32;
+  h *= 0xD6E8FEB86659FD93ull;
+  return h ^ (h >> 32);
 }
 
-}  // namespace
+size_t PathNodeCache::Locate(const Key& key, uint64_t hash) const {
+  const size_t mask = table_.size() - 1;
+  size_t pos = hash & mask;
+  while (table_[pos] != kFree && ring_[table_[pos]].key != key) {
+    pos = (pos + 1) & mask;
+  }
+  return pos;
+}
+
+const crypto::Hash256* PathNodeCache::Find(const Key& key) const {
+  if (size_ == 0) return nullptr;
+  const uint32_t slot = table_[Locate(key, Hash(key))];
+  return slot == kFree ? nullptr : &ring_[slot].node;
+}
+
+bool PathNodeCache::Insert(const Key& key, const crypto::Hash256& node) {
+  if (size_ == ring_.size()) Grow();
+  const uint64_t hash = Hash(key);
+  const size_t pos = Locate(key, hash);
+  if (table_[pos] != kFree) return false;
+  size_t slot = head_ + size_;
+  if (slot >= ring_.size()) slot -= ring_.size();
+  ring_[slot] = Entry{key, node, hash};
+  table_[pos] = static_cast<uint32_t>(slot);
+  ++size_;
+  return true;
+}
+
+void PathNodeCache::PopOldest() {
+  const size_t mask = table_.size() - 1;
+  size_t hole = Locate(ring_[head_].key, ring_[head_].hash);
+  // Backward-shift deletion: pull each later entry of the probe run into
+  // the hole unless that would move it before its home position.
+  for (size_t pos = (hole + 1) & mask; table_[pos] != kFree;
+       pos = (pos + 1) & mask) {
+    const size_t home = ring_[table_[pos]].hash & mask;
+    if (((pos - home) & mask) >= ((pos - hole) & mask)) {
+      table_[hole] = table_[pos];
+      hole = pos;
+    }
+  }
+  table_[hole] = kFree;
+  if (++head_ == ring_.size()) head_ = 0;
+  --size_;
+}
+
+void PathNodeCache::Clear() {
+  std::fill(table_.begin(), table_.end(), kFree);
+  head_ = 0;
+  size_ = 0;
+}
+
+void PathNodeCache::Grow() {
+  std::vector<Entry> ring(
+      std::min(std::max<size_t>(16, 2 * ring_.size()), max_entries_));
+  for (size_t i = 0; i < size_; ++i) {
+    ring[i] = ring_[(head_ + i) % ring_.size()];
+  }
+  size_t table_size = 1;
+  while (table_size < 2 * ring.size()) table_size *= 2;
+  ring_ = std::move(ring);
+  head_ = 0;
+  table_.assign(table_size, kFree);
+  for (size_t slot = 0; slot < size_; ++slot) {
+    table_[Locate(ring_[slot].key, ring_[slot].hash)] =
+        static_cast<uint32_t>(slot);
+  }
+}
 
 Status Verifier::VerifyPathCached(const crypto::Hash256& leaf_hash,
                                   const crypto::MerklePath& path,
@@ -42,98 +110,97 @@ Status Verifier::VerifyPathCached(const crypto::Hash256& leaf_hash,
   if (path.leaf_index >= leaf_count) {
     return Status::AuthFailure("leaf index out of range");
   }
-
-  std::lock_guard<std::mutex> lock(cache_mu_);
-  ++cache_stats_.lookups;
-  crypto::Hash256 h = leaf_hash;
-  uint64_t idx = path.leaf_index;
-  uint64_t width = leaf_count;
-  uint32_t level = 0;
-  size_t used = 0;
-  uint64_t hashed = 0;
-  bool short_circuit = false;
-  // Nodes computed on this climb, inserted only if the whole path verifies.
-  std::vector<std::pair<std::string, crypto::Hash256>> computed;
-  computed.emplace_back(NodeKey(root, level, idx), h);
-
-  // One ChargeHash covers the whole climb (same cost as the uncached
-  // single 65*n charge when nothing is cached).
-  auto finish = [&](Status s) {
-    if (hashed > 0) {
-      enclave_->ChargeHash(65 * hashed);
-      cache_stats_.path_nodes_hashed += hashed;
-    }
-    return s;
+  uint32_t height = 0;  // levels below the root
+  for (uint64_t width = leaf_count; width > 1; width = (width + 1) / 2) {
+    ++height;
+  }
+  auto key_at = [&](uint32_t level) {
+    return PathNodeCache::Key{root, path.leaf_index >> level, level};
   };
 
-  while (width > 1) {
-    auto it = path_nodes_.find(computed.back().first);
-    if (it != path_nodes_.end()) {
-      if (it->second != h) {
-        // The host's proof disagrees with a node already verified against
-        // this root: under collision resistance the proof is forged.
-        return finish(
-            Status::AuthFailure("proof contradicts verified path node"));
+  // Probe: the climb can stop at the lowest cached node below the root.
+  uint32_t stop = height;
+  crypto::Hash256 cached{};
+  {
+    std::lock_guard<std::mutex> lock(cache_mu_);
+    ++cache_stats_.lookups;
+    for (uint32_t level = 0; level < height; ++level) {
+      if (const crypto::Hash256* node = path_nodes_.Find(key_at(level))) {
+        cached = *node;
+        stop = level;
+        break;
       }
-      // The climb from this node to the root was verified before; only the
-      // remaining sibling count still needs checking (same malformed-proof
-      // acceptance as the full climb).
-      short_circuit = true;
-      while (width > 1) {
-        if (idx % 2 == 1 || idx + 1 < width) ++used;
-        idx /= 2;
-        width = (width + 1) / 2;
-      }
-      break;
     }
-    if (idx % 2 == 1) {
-      if (used >= path.siblings.size()) {
-        return finish(Status::AuthFailure("merkle path too short"));
-      }
-      h = crypto::HashInterior(path.siblings[used++], h);
-      ++hashed;
-    } else if (idx + 1 < width) {
-      if (used >= path.siblings.size()) {
-        return finish(Status::AuthFailure("merkle path too short"));
-      }
-      h = crypto::HashInterior(h, path.siblings[used++]);
-      ++hashed;
-    }
-    // An unpaired rightmost node carries up unhashed; either way the node
-    // one level up is now known.
-    idx /= 2;
-    width = (width + 1) / 2;
-    ++level;
-    computed.emplace_back(NodeKey(root, level, idx), h);
   }
 
-  if (used != path.siblings.size()) {
-    return finish(Status::AuthFailure("merkle path has extra nodes"));
+  // Climb to `stop` with no lock held, keeping every node computed on the
+  // way; they are inserted only if the whole path verifies.
+  crypto::Hash256 nodes[65];
+  nodes[0] = leaf_hash;
+  uint64_t idx = path.leaf_index;
+  uint64_t width = leaf_count;
+  size_t used = 0;
+  uint64_t hashed = 0;
+  Status s = Status::Ok();
+  for (uint32_t level = 0; level < stop; ++level) {
+    const crypto::Hash256& h = nodes[level];
+    if (idx % 2 == 1 || idx + 1 < width) {
+      if (used >= path.siblings.size()) {
+        s = Status::AuthFailure("merkle path too short");
+        break;
+      }
+      const crypto::Hash256& sibling = path.siblings[used++];
+      nodes[level + 1] = idx % 2 == 1 ? crypto::HashInterior(sibling, h)
+                                      : crypto::HashInterior(h, sibling);
+      ++hashed;
+    } else {
+      nodes[level + 1] = h;  // an unpaired rightmost node carries up
+    }
+    idx /= 2;
+    width = (width + 1) / 2;
   }
-  if (!short_circuit && h != root) {
-    return finish(Status::AuthFailure("merkle root mismatch"));
+  if (s.ok() && stop < height) {
+    if (nodes[stop] != cached) {
+      // The host's proof disagrees with a node already verified against
+      // this root: under collision resistance the proof is forged.
+      s = Status::AuthFailure("proof contradicts verified path node");
+    }
+    // The climb from the cached node to the root was verified before; only
+    // the remaining sibling count still needs checking (same malformed-
+    // proof acceptance as the full climb).
+    for (; width > 1; idx /= 2, width = (width + 1) / 2) {
+      if (idx % 2 == 1 || idx + 1 < width) ++used;
+    }
   }
-  if (short_circuit) ++cache_stats_.hits;
-  for (auto& [key, node] : computed) {
-    auto [pos, inserted] = path_nodes_.emplace(key, node);
-    (void)pos;
-    if (inserted) {
-      path_fifo_.push_back(key);
+  if (s.ok() && used != path.siblings.size()) {
+    s = Status::AuthFailure("merkle path has extra nodes");
+  }
+  if (s.ok() && stop == height && nodes[height] != root) {
+    s = Status::AuthFailure("merkle root mismatch");
+  }
+  // One ChargeHash covers the whole climb (same cost as the uncached
+  // single 65*n charge when nothing is cached).
+  if (hashed > 0) enclave_->ChargeHash(65 * hashed);
+
+  std::lock_guard<std::mutex> lock(cache_mu_);
+  cache_stats_.path_nodes_hashed += hashed;
+  if (!s.ok()) return s;
+  if (stop < height) ++cache_stats_.hits;
+  for (uint32_t level = 0; level <= stop; ++level) {
+    if (path_nodes_.Insert(key_at(level), nodes[level])) {
       ++cache_stats_.insertions;
     }
   }
-  while (path_nodes_.size() > path_cache_entries_ && !path_fifo_.empty()) {
-    path_nodes_.erase(path_fifo_.front());
-    path_fifo_.pop_front();
+  while (path_nodes_.size() > path_cache_entries_) {
+    path_nodes_.PopOldest();
     ++cache_stats_.evictions;
   }
-  return finish(Status::Ok());
+  return Status::Ok();
 }
 
 void Verifier::InvalidatePathCache() const {
   std::lock_guard<std::mutex> lock(cache_mu_);
-  path_nodes_.clear();
-  path_fifo_.clear();
+  path_nodes_.Clear();
 }
 
 ProofPathCacheStats Verifier::path_cache_stats() const {

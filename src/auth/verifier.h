@@ -19,12 +19,12 @@
 // LevelMeta snapshot — never from the proof itself.
 #pragma once
 
-#include <deque>
+#include <algorithm>
+#include <cstdint>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "auth/proof.h"
@@ -43,6 +43,54 @@ struct ProofPathCacheStats {
   uint64_t evictions = 0;
 };
 
+// Verified Merkle nodes keyed by tree position, evicted oldest-first. The
+// entries live in a ring in insertion order, indexed by an open-addressing
+// (linear probing) table of ring slots. Both grow on demand, up to
+// `max_entries`, so the cache holds memory only for the nodes it holds,
+// and a warm cache inserts and evicts without allocating. Not thread-safe.
+class PathNodeCache {
+ public:
+  // Position of a tree node: the enclave-held root it was verified
+  // against, its level (0 = leaves) and its index within that level.
+  struct Key {
+    crypto::Hash256 root;
+    uint64_t index = 0;
+    uint32_t level = 0;
+    bool operator==(const Key&) const = default;
+  };
+
+  explicit PathNodeCache(size_t max_entries) : max_entries_(max_entries) {}
+
+  size_t size() const { return size_; }
+  // The node cached at `key`, or null.
+  const crypto::Hash256* Find(const Key& key) const;
+  // Adds `key` as the newest entry; false (and no change) if cached.
+  bool Insert(const Key& key, const crypto::Hash256& node);
+  // Evicts the oldest entry. Requires size() > 0.
+  void PopOldest();
+  void Clear();
+
+ private:
+  struct Entry {
+    Key key;
+    crypto::Hash256 node;
+    uint64_t hash = 0;
+  };
+  static constexpr uint32_t kFree = UINT32_MAX;
+
+  static uint64_t Hash(const Key& key);
+  // Table position holding `key`'s ring slot, or the free position that
+  // ends its probe run. Requires a non-empty table.
+  size_t Locate(const Key& key, uint64_t hash) const;
+  void Grow();
+
+  size_t max_entries_;
+  std::vector<Entry> ring_;
+  size_t head_ = 0;  // ring slot of the oldest entry
+  size_t size_ = 0;
+  std::vector<uint32_t> table_;  // ring slots; power-of-two size >= 2x ring
+};
+
 class Verifier {
  public:
   // `path_cache_entries` bounds the Merkle proof-path node cache (0
@@ -55,8 +103,21 @@ class Verifier {
   // a (level, index) position is consistent with that root, so matching it
   // proves the rest of the climb, and a mismatch proves the host's proof
   // is forged (fail closed).
+  //
+  // Concurrent verifications share the cache without holding its lock
+  // while they hash: a node's position follows from the leaf index alone,
+  // so one short locked probe finds the lowest cached node on the climb,
+  // the climb up to it is hashed unlocked, and one short locked section
+  // inserts the new nodes. A single thread therefore sees the insertion
+  // order, and so every eviction and hash charge, of a cache locked for
+  // the whole climb; concurrent climbs may both hash a node neither has
+  // inserted yet.
   explicit Verifier(sgx::Enclave* enclave, size_t path_cache_entries = 4096)
-      : enclave_(enclave), path_cache_entries_(path_cache_entries) {}
+      : enclave_(enclave),
+        path_cache_entries_(path_cache_entries),
+        // A climb inserts at most one node per tree level (<= 65) before
+        // the overflow is evicted.
+        path_nodes_(std::min(path_cache_entries, SIZE_MAX - 65) + 65) {}
 
   // Returns the authenticated newest record visible at ts_max (which may be
   // a tombstone — the caller maps it to "absent"), or nullopt for an
@@ -95,11 +156,10 @@ class Verifier {
 
   sgx::Enclave* enclave_;
   size_t path_cache_entries_;
-  // Guards the node cache; verifications run concurrently under the
-  // facade's shared read lock.
+  // Guards the node cache and its stats. Held only to probe and to insert,
+  // never across hashing (see the constructor).
   mutable std::mutex cache_mu_;
-  mutable std::unordered_map<std::string, crypto::Hash256> path_nodes_;
-  mutable std::deque<std::string> path_fifo_;  // insertion order (FIFO evict)
+  mutable PathNodeCache path_nodes_;
   mutable ProofPathCacheStats cache_stats_;
 };
 

@@ -83,12 +83,6 @@ ElsmDb::ElsmDb(const Options& options, std::shared_ptr<storage::Fs> fs,
     engine_->SetListener(listener_.get());
   }
   assembler_ = std::make_unique<auth::ProofAssembler>(fs_);
-  // Compaction-deleted files must leave every cache: the engine drops its
-  // own read-buffer entries and mmap handles, then this hook retires the
-  // assembler's tree-sidecar handles (fires outside engine locks).
-  engine_->SetCachePurgeHook([this](const std::vector<std::string>& names) {
-    for (const std::string& name : names) assembler_->Evict(name);
-  });
   if (options_.background_compaction) {
     engine_->SetCompactionCallback(
         [this] { return PersistAfterBackgroundCompaction(); });
@@ -301,9 +295,8 @@ Status ElsmDb::Recover() {
 
   Status s = engine_->RestoreManifest(engine_manifest);
   if (!s.ok()) return s;
-  // The restored stack may reuse names and carries fresh roots: retire the
-  // sidecar handles and verified path nodes along with the engine's caches.
-  assembler_->Clear();
+  // The restored stack carries fresh roots: retire the verified path nodes
+  // along with the engine's caches (its levels open their own sidecars).
   verifier_.InvalidatePathCache();
   for (const std::string& edit : engine_edits) {
     s = engine_->ApplyEdit(edit);
@@ -773,9 +766,13 @@ Status ElsmDb::TryResume() {
   return Status::Ok();
 }
 
-void ElsmDb::RecordOpStat(Histogram OpStats::*h, uint64_t latency_ns) {
+void ElsmDb::RecordOpStat(Histogram OpStats::*h, uint64_t latency_ns,
+                          uint64_t samples, uint64_t proof_bytes,
+                          uint64_t verified_ops) {
   std::lock_guard<std::mutex> lock(stats_mu_);
-  (op_stats_.*h).Add(latency_ns);
+  for (uint64_t i = 0; i < samples; ++i) (op_stats_.*h).Add(latency_ns);
+  op_stats_.proof_bytes += proof_bytes;
+  op_stats_.verified_ops += verified_ops;
 }
 
 Status ElsmDb::Put(std::string_view key, std::string_view value) {
@@ -864,6 +861,8 @@ std::vector<Result<ElsmDb::VerifiedRecord>> ElsmDb::MultiGetVerified(
   auto items = engine_->MultiGet(lookup_keys, ts_max);
   const bool verify = options_.mode == Mode::kP2 &&
                       options_.authenticate_data && options_.verify_reads;
+  uint64_t proof_bytes = 0;
+  uint64_t verified_ops = 0;
   for (size_t i = 0; i < items.size(); ++i) {
     if (!items[i].status.ok()) {
       out.push_back(items[i].status);
@@ -890,11 +889,8 @@ std::vector<Result<ElsmDb::VerifiedRecord>> ElsmDb::MultiGetVerified(
       }
       rec.record = std::move(verified).value();
       rec.verified = true;
-      {
-        std::lock_guard<std::mutex> stats_lock(stats_mu_);
-        op_stats_.proof_bytes += rec.proof_bytes;
-        ++op_stats_.verified_ops;
-      }
+      proof_bytes += rec.proof_bytes;
+      ++verified_ops;
     } else {
       rec.record = UnverifiedResult(items[i].response);
     }
@@ -910,10 +906,8 @@ std::vector<Result<ElsmDb::VerifiedRecord>> ElsmDb::MultiGetVerified(
   // One histogram sample per key, sharing the batch's wall time evenly —
   // keeps get-latency sample counts comparable with sequential callers.
   const uint64_t elapsed = enclave_->now_ns() - start;
-  const uint64_t per_key = elapsed / keys.size();
-  for (size_t i = 0; i < keys.size(); ++i) {
-    RecordOpStat(&OpStats::get, per_key);
-  }
+  RecordOpStat(&OpStats::get, elapsed / keys.size(), keys.size(), proof_bytes,
+               verified_ops);
   return out;
 }
 
@@ -959,20 +953,19 @@ Result<std::vector<lsm::Record>> ElsmDb::Scan(std::string_view k1,
   if (!resp.ok()) return resp.status();
 
   std::vector<lsm::Record> records;
+  uint64_t proof_bytes = 0;
+  uint64_t verified_ops = 0;
   if (options_.mode == Mode::kP2 && options_.authenticate_data &&
       options_.verify_reads) {
     const std::vector<lsm::LevelMeta>& levels =
         resp.value().snapshot->levels();
     auto assembled = assembler_->AssembleScan(resp.value(), levels);
     if (!assembled.ok()) return assembled.status();
-    {
-      std::lock_guard<std::mutex> stats_lock(stats_mu_);
-      op_stats_.proof_bytes += assembled.value().proof_bytes;
-      ++op_stats_.verified_ops;
-    }
     auto verified = verifier_.VerifyScan(lo, hi, assembled.value(), levels);
     if (!verified.ok()) return verified.status();
     records = std::move(verified).value();
+    proof_bytes = assembled.value().proof_bytes;
+    verified_ops = 1;
   } else {
     std::map<std::string, lsm::Record> merged;
     for (const lsm::Record& r : resp.value().memtable_records) {
@@ -990,7 +983,8 @@ Result<std::vector<lsm::Record>> ElsmDb::Scan(std::string_view k1,
     Status s = UntransformRecord(&r);
     if (!s.ok()) return s;
   }
-  RecordOpStat(&OpStats::scan, enclave_->now_ns() - start);
+  RecordOpStat(&OpStats::scan, enclave_->now_ns() - start, 1, proof_bytes,
+               verified_ops);
   return records;
 }
 

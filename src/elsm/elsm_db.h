@@ -168,8 +168,6 @@ class ElsmDb {
   auth::ProofPathCacheStats proof_path_cache_stats() const {
     return verifier_.path_cache_stats();
   }
-  // Tree-sidecar handles currently cached by the proof assembler.
-  size_t cached_tree_handles() const { return assembler_->cached_trees(); }
 
   struct OpStats {
     Histogram put;
@@ -178,8 +176,15 @@ class ElsmDb {
     uint64_t proof_bytes = 0;
     uint64_t verified_ops = 0;
   };
-  const OpStats& op_stats() const { return op_stats_; }
-  void ResetOpStats() { op_stats_ = OpStats{}; }
+  // A consistent copy, safe to take while clients run.
+  OpStats op_stats() const {
+    std::lock_guard<std::mutex> lock(stats_mu_);
+    return op_stats_;
+  }
+  void ResetOpStats() {
+    std::lock_guard<std::mutex> lock(stats_mu_);
+    op_stats_ = OpStats{};
+  }
 
  private:
   ElsmDb(const Options& options, std::shared_ptr<storage::Fs> fs,
@@ -256,7 +261,12 @@ class ElsmDb {
   // Engine-thread callback: re-persists the manifest after a ripple pass;
   // errors surface through WaitForCompaction().
   Status PersistAfterBackgroundCompaction();
-  void RecordOpStat(Histogram OpStats::*h, uint64_t latency_ns);
+  // Folds one call into op_stats_ under a single stats_mu_ acquisition:
+  // `samples` latency samples of `latency_ns` each, plus the proof bytes
+  // and the number of ops it verified.
+  void RecordOpStat(Histogram OpStats::*h, uint64_t latency_ns,
+                    uint64_t samples = 1, uint64_t proof_bytes = 0,
+                    uint64_t verified_ops = 0);
   std::string manifest_name() const { return options_.name + "/MANIFEST"; }
   std::string manifest_tmp_name() const {
     return options_.name + "/MANIFEST.tmp";

@@ -1288,10 +1288,11 @@ void LsmEngine::InstallVersion(std::vector<LevelMeta> levels,
                                MemtableReset reset,
                                const std::vector<std::string>& obsolete_files,
                                std::string encoded_edit) {
-  auto next = std::make_shared<Version>(std::move(levels), tracker_);
+  std::shared_ptr<const Version> next =
+      std::make_shared<Version>(std::move(levels), tracker_);
   {
     std::unique_lock<std::shared_mutex> lock(mu_);
-    version_ = std::move(next);
+    version_.swap(next);
     if (reset == MemtableReset::kImm) {
       imm_.reset();
       imm_used_ = 0;
@@ -1300,6 +1301,9 @@ void LsmEngine::InstallVersion(std::vector<LevelMeta> levels,
       edit_log_.emplace_back(++edit_seq_, std::move(encoded_edit));
     }
   }
+  // Release the retired version outside the lock: if it was the last
+  // snapshot, its levels' sidecar handles are freed with it.
+  next.reset();
   for (const std::string& name : obsolete_files) tracker_->MarkObsolete(name);
   PurgeDeadCaches();
 }
@@ -1318,18 +1322,6 @@ void LsmEngine::PurgeDeadCaches() {
   for (const std::string& name : deleted) {
     if (read_buffer_ != nullptr) read_buffer_->Invalidate(name);
   }
-  std::function<void(const std::vector<std::string>&)> hook;
-  {
-    std::lock_guard<std::mutex> lock(purge_hook_mu_);
-    hook = cache_purge_hook_;
-  }
-  if (hook) hook(deleted);
-}
-
-void LsmEngine::SetCachePurgeHook(
-    std::function<void(const std::vector<std::string>&)> hook) {
-  std::lock_guard<std::mutex> lock(purge_hook_mu_);
-  cache_purge_hook_ = std::move(hook);
 }
 
 // ---------------------------------------------------------------------------

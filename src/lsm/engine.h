@@ -423,12 +423,6 @@ class LsmEngine {
   void ClearReadCache() {
     if (read_buffer_ != nullptr) read_buffer_->Clear();
   }
-  // Invoked (outside engine locks) with each batch of compaction-deleted
-  // file names drained from the tracker, after the engine has dropped its
-  // own mmap handles and read-buffer entries. The facade hangs
-  // ProofAssembler tree-handle eviction off it.
-  void SetCachePurgeHook(
-      std::function<void(const std::vector<std::string>&)> hook);
 
   // --- manifest & recovery (driven by the elsm facade) ---------------------
   // Full level-stack snapshot. When `covered_edit_seq` is non-null it
@@ -668,10 +662,6 @@ class LsmEngine {
   std::unique_ptr<storage::ReadBuffer> read_buffer_;
   mutable std::mutex mmaps_mu_;
   mutable std::unordered_map<std::string, storage::MmapRegion> mmaps_;
-  // Guards cache_purge_hook_: PurgeDeadCaches fires from reader and
-  // background-compaction threads while the facade installs the hook.
-  mutable std::mutex purge_hook_mu_;
-  std::function<void(const std::vector<std::string>&)> cache_purge_hook_;
   sgx::RegionId memtable_region_ = 0;
   sgx::RegionId metadata_region_ = 0;
   mutable EngineStats stats_;

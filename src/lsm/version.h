@@ -54,6 +54,39 @@ struct FileMeta {
   std::vector<BlockHandle> blocks;
 };
 
+// An object the auth layer builds for a level on first use and hangs on
+// it. Every copy of the LevelMeta shares the slot, so each Version that
+// carries the level unchanged reuses one object, and the last such Version
+// to die frees it. Readers after the first take no lock.
+class LevelAttachment {
+ public:
+  // The attached T, built by `make` (returning Result<T>) on first use. A
+  // failed build attaches nothing, so a later call retries. Every caller
+  // of one slot must ask for the same T.
+  template <class T, class Make>
+  Result<const T*> GetOrMake(Make make) {
+    if (const void* object = object_.load(std::memory_order_acquire)) {
+      return static_cast<const T*>(object);
+    }
+    std::lock_guard<std::mutex> lock(mu_);
+    if (owner_ == nullptr) {
+      Result<T> made = make();
+      if (!made.ok()) return made.status();
+      owner_ = std::make_shared<const T>(std::move(made).value());
+      object_.store(owner_.get(), std::memory_order_release);
+    }
+    return static_cast<const T*>(owner_.get());
+  }
+  bool attached() const {
+    return object_.load(std::memory_order_acquire) != nullptr;
+  }
+
+ private:
+  std::mutex mu_;
+  std::shared_ptr<const void> owner_;
+  std::atomic<const void*> object_{nullptr};
+};
+
 struct LevelMeta {
   std::vector<FileMeta> files;
   uint64_t num_records = 0;
@@ -64,6 +97,9 @@ struct LevelMeta {
   crypto::Hash256 root = crypto::kZeroHash;
   uint64_t leaf_count = 0;      // distinct keys in the level
   std::string tree_file;        // untrusted Merkle-node sidecar
+  // tree_file's reader, opened by the proof assembler on first use.
+  std::shared_ptr<LevelAttachment> sidecar =
+      std::make_shared<LevelAttachment>();
 
   // Approximate enclave-metadata footprint of this level (indexes+bloom).
   uint64_t MetadataBytes() const;

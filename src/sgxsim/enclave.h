@@ -5,11 +5,13 @@
 // `enabled() == false` models the unsecured baselines: world switches are
 // free (plain calls), enclave regions behave like ordinary DRAM, no paging.
 //
-// Thread safety: the clock and counters are atomics; the EPC page table is
-// guarded by a mutex. Concurrent DB operations therefore serialize only on
-// the page-table update, mirroring how real EPC contention behaves.
+// Thread safety: the clock and counters are atomics, sharded so that each
+// thread charges its own cache line; now_ns() and counters() sum the
+// shards. The EPC page table is guarded by a mutex that every
+// AccessRegion takes, mirroring how real EPC contention behaves.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -72,14 +74,14 @@ class Enclave {
   // Raw simulated-time charge (e.g. fixed-function costs in baselines).
   void Advance(uint64_t ns);
 
-  uint64_t now_ns() const { return clock_ns_.load(std::memory_order_relaxed); }
+  uint64_t now_ns() const;
   EnclaveCounters counters() const;
-  uint64_t epc_faults() const {
-    return counters_.epc_faults.load(std::memory_order_relaxed);
-  }
 
  private:
-  struct AtomicCounters {
+  // One thread's share of the clock and counters, on cache lines of its
+  // own.
+  struct alignas(64) Shard {
+    std::atomic<uint64_t> clock_ns{0};
     std::atomic<uint64_t> ecalls{0};
     std::atomic<uint64_t> ocalls{0};
     std::atomic<uint64_t> epc_faults{0};
@@ -90,13 +92,18 @@ class Enclave {
     std::atomic<uint64_t> file_bytes_written{0};
     std::atomic<uint64_t> wal_appends{0};
   };
+  // Threads take shards round-robin in creation order; two threads that
+  // share a shard stay correct, they only contend.
+  static constexpr size_t kShards = 16;
+  // Adds `n` to the calling thread's `counter` and `ns` to its clock.
+  void Charge(std::atomic<uint64_t> Shard::*counter, uint64_t n, uint64_t ns);
+  uint64_t Sum(std::atomic<uint64_t> Shard::*counter) const;
 
   CostModel model_;
   bool enabled_;
-  std::atomic<uint64_t> clock_ns_{0};
   mutable std::mutex epc_mu_;
   EpcSimulator epc_;
-  AtomicCounters counters_;
+  std::array<Shard, kShards> shards_;
 };
 
 // RAII world-switch guards for readability at call sites.

@@ -6,10 +6,14 @@
 
 #include <atomic>
 #include <chrono>
+#include <deque>
+#include <map>
 #include <random>
 #include <thread>
+#include <tuple>
 #include <vector>
 
+#include "auth/verifier.h"
 #include "crypto/sha256.h"
 #include "elsm/elsm_db.h"
 #include "storage/read_buffer.h"
@@ -231,6 +235,148 @@ TEST(ReadCacheConcurrencyTest, InvalidateRacesLoadersWithoutStaleInstall) {
   EXPECT_EQ(buffer.ResidentBytes(), 0u);
 }
 
+TEST(ReadCacheConcurrencyTest, PathCacheChurnUnderParallelVerifiedReaders) {
+  // A path cache far smaller than the tree: four readers keep probing,
+  // inserting and evicting against one verifier. Every read must verify
+  // with the right value, and the cache must stay within its bound.
+  Options o = BufferOptions();
+  o.proof_path_cache_entries = 24;
+  auto db = ElsmDb::Create(o);
+  ASSERT_TRUE(db.ok());
+  auto& store = *db.value();
+  for (int i = 0; i < 300; ++i) {
+    ASSERT_TRUE(store.Put(Key(i), test_util::Cat("value-", i)).ok());
+  }
+  ASSERT_TRUE(store.CompactAll().ok());
+
+  constexpr int kReaders = 4;
+  constexpr int kReads = 300;
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < kReaders; ++t) {
+    readers.emplace_back([&, t] {
+      std::mt19937 rng(7 + t);
+      for (int i = 0; i < kReads; ++i) {
+        // Half the reads go to a hot handful of keys, so some climbs stop
+        // at cached nodes while others evict them.
+        const int k = (i % 2 == 0) ? int(rng() % 8) : int(rng() % 300);
+        auto r = store.GetVerified(Key(k));
+        if (!r.ok() || !r.value().verified || !r.value().record.has_value() ||
+            r.value().record->value != test_util::Cat("value-", k)) {
+          ++wrong;
+        }
+      }
+    });
+  }
+  for (auto& t : readers) t.join();
+  EXPECT_EQ(wrong.load(), 0);
+  const auto paths = store.proof_path_cache_stats();
+  EXPECT_GT(paths.hits, 0u);
+  EXPECT_GT(paths.evictions, 0u);
+  EXPECT_LE(paths.insertions - paths.evictions, 24u);
+}
+
+TEST(ReadCacheConcurrencyTest, OpStatsPollAndResetDuringVerifiedReaders) {
+  // A fifth thread snapshots and resets the facade stats while four
+  // verified readers update them. Each read's sample, proof bytes and
+  // verified count land in one update, so every snapshot is consistent.
+  auto db = ElsmDb::Create(BufferOptions());
+  ASSERT_TRUE(db.ok());
+  auto& store = *db.value();
+  for (int i = 0; i < 300; ++i) {
+    ASSERT_TRUE(store.Put(Key(i), test_util::Cat("value-", i)).ok());
+  }
+  ASSERT_TRUE(store.CompactAll().ok());
+  store.ResetOpStats();
+
+  std::atomic<bool> done{false};
+  std::atomic<int> wrong{0};
+  std::thread poller([&] {
+    for (uint64_t polls = 1; !done.load(); ++polls) {
+      const ElsmDb::OpStats stats = store.op_stats();
+      if (stats.get.count() != stats.verified_ops ||
+          (stats.verified_ops > 0) != (stats.proof_bytes > 0)) {
+        ++wrong;
+      }
+      if (polls % 16 == 0) store.ResetOpStats();
+    }
+  });
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 4; ++t) {
+    readers.emplace_back([&, t] {
+      for (int i = 0; i < 200; ++i) {
+        const int k = (i * 7 + t * 31) % 300;
+        auto r = store.GetVerified(Key(k));
+        if (!r.ok() || !r.value().verified) ++wrong;
+      }
+    });
+  }
+  for (auto& t : readers) t.join();
+  done.store(true);
+  poller.join();
+  EXPECT_EQ(wrong.load(), 0);
+  const ElsmDb::OpStats stats = store.op_stats();
+  EXPECT_EQ(stats.get.count(), stats.verified_ops);
+}
+
+// --- unit: the verifier's proof-path node store ----------------------------
+
+TEST(PathNodeCacheTest, MatchesReferenceFifoModel) {
+  // Random inserts, probes and oldest-first evictions against a map+deque
+  // model, through ring wraparound, table growth and backward-shift deletes
+  // (few roots, levels and indices, so probe runs collide often).
+  auth::PathNodeCache cache(/*max_entries=*/300);
+  using Id = std::tuple<int, uint64_t, uint32_t>;
+  std::map<Id, crypto::Hash256> model;
+  std::deque<Id> fifo;
+  std::vector<crypto::Hash256> roots;
+  for (int r = 0; r < 3; ++r) {
+    roots.push_back(crypto::Sha256::Digest(test_util::Cat("root", r)));
+  }
+  auto key_of = [&](const Id& id) {
+    return auth::PathNodeCache::Key{roots[size_t(std::get<0>(id))],
+                                    std::get<1>(id), std::get<2>(id)};
+  };
+  std::mt19937 rng(42);
+  auto random_id = [&] {
+    return Id{int(rng() % 3), rng() % 64, uint32_t(rng() % 4)};
+  };
+  for (int step = 0; step < 20000; ++step) {
+    const Id id = random_id();
+    crypto::Hash256 node{};
+    node[0] = uint8_t(step);
+    node[1] = uint8_t(step >> 8);
+    const bool fresh = model.count(id) == 0;
+    ASSERT_EQ(cache.Insert(key_of(id), node), fresh);
+    if (fresh) {
+      model[id] = node;
+      fifo.push_back(id);
+    }
+    const size_t cap = 50 + size_t(step / 2000 % 5) * 50;
+    while (cache.size() > cap) {
+      cache.PopOldest();
+      model.erase(fifo.front());
+      fifo.pop_front();
+    }
+    ASSERT_EQ(cache.size(), model.size());
+    const Id probe = random_id();
+    const crypto::Hash256* found = cache.Find(key_of(probe));
+    auto it = model.find(probe);
+    ASSERT_EQ(found != nullptr, it != model.end());
+    if (found != nullptr) {
+      ASSERT_EQ(*found, it->second);
+    }
+  }
+  for (const auto& [id, node] : model) {
+    const crypto::Hash256* found = cache.Find(key_of(id));
+    ASSERT_NE(found, nullptr);
+    EXPECT_EQ(*found, node);
+  }
+  cache.Clear();
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.Find(key_of(fifo.back())), nullptr);
+}
+
 // --- lifecycle: compaction's purge must sweep every cache layer ------------
 
 TEST(ReadCacheLifecycleTest, ObsoleteFilePurgeEvictsBufferAndTreeHandles) {
@@ -242,28 +388,35 @@ TEST(ReadCacheLifecycleTest, ObsoleteFilePurgeEvictsBufferAndTreeHandles) {
     ASSERT_TRUE(store.Put(Key(i), test_util::Cat("gen0-", i)).ok());
   }
   ASSERT_TRUE(store.CompactAll().ok());
-  // Populate block cache + tree-handle cache against generation 0.
+  // Populate block cache + tree-sidecar handles against generation 0.
   for (int i = 0; i < 200; i += 5) {
     auto r = store.GetVerified(Key(i));
     ASSERT_TRUE(r.ok());
     ASSERT_TRUE(r.value().record.has_value());
   }
   EXPECT_GT(store.read_cache_stats().misses, 0u);
-  EXPECT_GT(store.cached_tree_handles(), 0u);
+  // Each sidecar handle hangs on its level; watch generation 0's without
+  // pinning the snapshot that owns them.
+  std::vector<std::weak_ptr<lsm::LevelAttachment>> gen0_sidecars;
+  {
+    const auto gen0 = store.engine().current_version();
+    for (const auto& level : gen0->levels()) {
+      if (level.tree_file.empty()) continue;
+      EXPECT_TRUE(level.sidecar->attached());
+      gen0_sidecars.push_back(level.sidecar);
+    }
+  }
+  ASSERT_FALSE(gen0_sidecars.empty());
 
-  // Generation 1 rewrites the level stack; the old SSTables and sidecars
-  // retire through the tracker purge, which must sweep the caches.
+  // Generation 1 rewrites the level stack; the old SSTables retire through
+  // the tracker purge, which must sweep the block cache, and the old
+  // sidecar handles die with the last snapshot that could read them.
   for (int i = 0; i < 200; ++i) {
     ASSERT_TRUE(store.Put(Key(i), test_util::Cat("gen1-", i)).ok());
   }
   ASSERT_TRUE(store.CompactAll().ok());
   EXPECT_GT(store.read_cache_stats().invalidations, 0u);
-  // Only handles for live sidecars may remain (one per non-empty level).
-  size_t live_trees = 0;
-  for (const auto& level : store.engine().levels()) {
-    if (!level.tree_file.empty()) ++live_trees;
-  }
-  EXPECT_LE(store.cached_tree_handles(), live_trees);
+  for (const auto& sidecar : gen0_sidecars) EXPECT_TRUE(sidecar.expired());
 
   // Reads against the new generation verify cleanly (nothing stale served).
   for (int i = 0; i < 200; i += 5) {
@@ -332,6 +485,29 @@ TEST(ReadCacheCounterTest, PathCacheDisabledStillVerifies) {
     ASSERT_TRUE(r.value().record.has_value());
   }
   EXPECT_EQ(store.proof_path_cache_stats().lookups, 0u);
+}
+
+TEST(ReadCacheCounterTest, UnboundedPathCacheStillVerifies) {
+  // The largest capacity must not wrap the cache's internal bound: every
+  // node stays cached and nothing is evicted.
+  Options o = BufferOptions();
+  o.proof_path_cache_entries = SIZE_MAX;
+  auto db = ElsmDb::Create(o);
+  ASSERT_TRUE(db.ok());
+  auto& store = *db.value();
+  for (int i = 0; i < 300; ++i) {
+    ASSERT_TRUE(store.Put(Key(i), test_util::Cat("value-", i)).ok());
+  }
+  ASSERT_TRUE(store.CompactAll().ok());
+  for (int i = 0; i < 300; ++i) {
+    auto r = store.GetVerified(Key(i));
+    ASSERT_TRUE(r.ok());
+    ASSERT_TRUE(r.value().record.has_value());
+    EXPECT_EQ(r.value().record->value, test_util::Cat("value-", i));
+  }
+  const auto paths = store.proof_path_cache_stats();
+  EXPECT_GT(paths.insertions, 300u);
+  EXPECT_EQ(paths.evictions, 0u);
 }
 
 TEST(ReadCacheCounterTest, UnauthenticatedStoreHashesNoBlocks) {

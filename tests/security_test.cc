@@ -3,6 +3,10 @@
 // rollback/freshness machinery must catch state replays across restarts.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+#include <vector>
+
 #include "auth/adversary.h"
 #include "auth/proof.h"
 #include "auth/verifier.h"
@@ -57,6 +61,7 @@ class SecurityTest : public ::testing::TestWithParam<const char*> {
       ASSERT_TRUE(db_->Put(Key(i), test_util::Cat("gen1-", i)).ok());
     }
     ASSERT_TRUE(db_->CompactAll().ok());
+    verifier_ = std::make_unique<auth::Verifier>(&db_->enclave());
   }
 
   Result<auth::AssembledGet> AssembleFor(const std::string& key,
@@ -77,23 +82,45 @@ class SecurityTest : public ::testing::TestWithParam<const char*> {
     return assembler.AssembleScan(resp.value(), db_->engine().levels());
   }
 
-  Status VerifyGet(const std::string& key, const auth::AssembledGet& proof) {
-    auth::Verifier verifier(&db_->enclave());
-    auto result = verifier.VerifyGet(key, kLatest, proof,
-                                     db_->engine().levels());
-    return result.status();
+  // Every verification goes through one long-lived verifier, as in the
+  // store itself: forgeries meet a proof-path cache that the honest proofs
+  // before them have warmed.
+  Status VerifyGet(const std::string& key, const auth::AssembledGet& proof,
+                   uint64_t ts_max = kLatest) {
+    return verifier_->VerifyGet(key, ts_max, proof, db_->engine().levels())
+        .status();
   }
 
   Status VerifyScan(const std::string& k1, const std::string& k2,
                     const auth::AssembledScan& proof) {
-    auth::Verifier verifier(&db_->enclave());
-    auto result =
-        verifier.VerifyScan(k1, k2, proof, db_->engine().levels());
-    return result.status();
+    return verifier_->VerifyScan(k1, k2, proof, db_->engine().levels())
+        .status();
+  }
+
+  // Verifies `key`'s honest proof, then the same proof after `forge`, and
+  // returns the forgery's status.
+  template <class Forge>
+  Status VerifyForgery(const std::string& key, Forge forge) {
+    auto proof = AssembleFor(key);
+    if (!proof.ok()) return proof.status();
+    Status honest = VerifyGet(key, proof.value());
+    if (!honest.ok()) return Status::Corruption("honest proof failed");
+    if (!forge(&proof.value())) return Status::Corruption("attack n/a");
+    return VerifyGet(key, proof.value());
+  }
+
+  // The level holding `key` and its leaf index there.
+  std::pair<size_t, uint64_t> LeafOf(const std::string& key) {
+    auto proof = AssembleFor(key);
+    EXPECT_TRUE(proof.ok());
+    const auth::AssembledLevel& hit = proof.value().levels.back();
+    EXPECT_TRUE(hit.found);
+    return {hit.level_pos, hit.chain.front().proof.leaf_index};
   }
 
   test_util::TempDir dir_;
   std::unique_ptr<ElsmDb> db_;
+  std::unique_ptr<auth::Verifier> verifier_;
 };
 
 INSTANTIATE_TEST_SUITE_P(Backends, SecurityTest,
@@ -106,10 +133,7 @@ TEST_P(SecurityTest, HonestProofVerifies) {
 }
 
 TEST_P(SecurityTest, ForgedValueRejected) {
-  auto proof = AssembleFor(Key(50));
-  ASSERT_TRUE(proof.ok());
-  ASSERT_TRUE(auth::Adversary::ForgeResultValue(&proof.value()));
-  const Status s = VerifyGet(Key(50), proof.value());
+  const Status s = VerifyForgery(Key(50), auth::Adversary::ForgeResultValue);
   EXPECT_TRUE(s.IsAuthFailure()) << s.ToString();
 }
 
@@ -123,9 +147,11 @@ TEST_P(SecurityTest, StaleRecordWithinLevelRejected) {
   const uint64_t newest_ts = newest.value().record->ts;
 
   // Time-travel assembly exposes the stale record plus the newer chain
-  // prefix; the attack then *hides* the newer record.
+  // prefix, an honest proof at its own timestamp; the attack then *hides*
+  // the newer record and claims the result is the latest.
   auto proof = AssembleFor(Key(50), newest_ts - 1);
   ASSERT_TRUE(proof.ok());
+  ASSERT_TRUE(VerifyGet(Key(50), proof.value(), newest_ts - 1).ok());
   ASSERT_TRUE(auth::Adversary::ServeStaleWithinLevel(&proof.value()))
       << "expected a >=2-record chain for the stale attack";
   const Status s = VerifyGet(Key(50), proof.value());
@@ -133,19 +159,77 @@ TEST_P(SecurityTest, StaleRecordWithinLevelRejected) {
 }
 
 TEST_P(SecurityTest, SuppressedHitRejected) {
-  auto proof = AssembleFor(Key(50));
-  ASSERT_TRUE(proof.ok());
-  ASSERT_TRUE(auth::Adversary::SuppressShallowHit(&proof.value()));
-  const Status s = VerifyGet(Key(50), proof.value());
+  const Status s =
+      VerifyForgery(Key(50), auth::Adversary::SuppressShallowHit);
   EXPECT_TRUE(s.IsAuthFailure()) << s.ToString();
 }
 
 TEST_P(SecurityTest, ClaimedMissRejected) {
-  auto proof = AssembleFor(Key(50));
-  ASSERT_TRUE(proof.ok());
-  ASSERT_TRUE(auth::Adversary::ClaimMissingKey(&proof.value()));
-  const Status s = VerifyGet(Key(50), proof.value());
+  const Status s = VerifyForgery(Key(50), auth::Adversary::ClaimMissingKey);
   EXPECT_TRUE(s.IsAuthFailure()) << s.ToString();
+}
+
+TEST_P(SecurityTest, TamperedSidecarContradictsWarmPathCache) {
+  // An honest proof caches Key(50)'s leaf and every node above it. Tamper
+  // that leaf in the sidecar, then ask for the neighbour whose first
+  // sibling it is: the forged climb meets the cached parent and must fail.
+  const auto [level, leaf] = LeafOf(Key(50));
+  auto honest = AssembleFor(Key(50));
+  ASSERT_TRUE(honest.ok());
+  ASSERT_TRUE(VerifyGet(Key(50), honest.value()).ok());
+
+  std::string neighbour;
+  for (int i = 40; i < 60 && neighbour.empty(); ++i) {
+    if (LeafOf(Key(i)) == std::make_pair(level, leaf ^ 1)) neighbour = Key(i);
+  }
+  ASSERT_FALSE(neighbour.empty());
+  const std::string& tree = db_->engine().levels()[level].tree_file;
+  ASSERT_TRUE(auth::Adversary::CorruptFile(db_->fs(), tree, 8 + 32 * leaf));
+
+  auto forged = AssembleFor(neighbour);
+  ASSERT_TRUE(forged.ok());
+  const Status s = VerifyGet(neighbour, forged.value());
+  EXPECT_TRUE(s.IsAuthFailure()) << s.ToString();
+}
+
+TEST_P(SecurityTest, ConcurrentReplaysAgainstSharedVerifier) {
+  // Four threads replay honest and forged proofs of hot keys against one
+  // verifier whose path cache is far smaller than the tree, so probes,
+  // climbs, insertions and evictions interleave.
+  struct Replay {
+    std::string key;
+    auth::AssembledGet proof;
+    bool honest;
+  };
+  std::vector<Replay> replays;
+  for (int i = 40; i < 56; ++i) {
+    auto proof = AssembleFor(Key(i));
+    ASSERT_TRUE(proof.ok());
+    replays.push_back({Key(i), proof.value(), true});
+    for (bool (*forge)(auth::AssembledGet*) :
+         {auth::Adversary::ForgeResultValue, auth::Adversary::ClaimMissingKey,
+          auth::Adversary::SuppressShallowHit}) {
+      Replay forged{Key(i), proof.value(), false};
+      if (forge(&forged.proof)) replays.push_back(std::move(forged));
+    }
+  }
+  auth::Verifier shared(&db_->enclave(), /*path_cache_entries=*/48);
+  const auto version = db_->engine().current_version();
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      for (size_t i = 0; i < 20 * replays.size(); ++i) {
+        const Replay& r = replays[(i + 5 * t) % replays.size()];
+        auto got =
+            shared.VerifyGet(r.key, kLatest, r.proof, version->levels());
+        if (r.honest ? !got.ok() : !got.status().IsAuthFailure()) ++wrong;
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_GT(shared.path_cache_stats().hits, 0u);
 }
 
 TEST_P(SecurityTest, DroppedScanRecordRejected) {
@@ -206,6 +290,25 @@ TEST_P(SecurityTest, TamperedTreeSidecarDetected) {
     if (!got.ok()) ++failures;
   }
   EXPECT_GT(failures, 0);
+}
+
+TEST_P(SecurityTest, FailedScanIsNotCountedAsVerified) {
+  // Flip every node of every sidecar: any range proof short of a whole
+  // level now fails, and a failed scan must not count as verified.
+  for (const auto& name : db_->fs().List(db_->options().name)) {
+    if (!name.ends_with(".tree")) continue;
+    const size_t size = db_->fs().Blob(name)->size();
+    for (size_t offset = 8; offset < size; offset += 32) {
+      ASSERT_TRUE(auth::Adversary::CorruptFile(db_->fs(), name, offset));
+    }
+  }
+  const ElsmDb::OpStats before = db_->op_stats();
+  auto scan = db_->Scan(Key(50), Key(52));
+  ASSERT_FALSE(scan.ok());
+  EXPECT_TRUE(scan.status().IsAuthFailure()) << scan.status().ToString();
+  const ElsmDb::OpStats after = db_->op_stats();
+  EXPECT_EQ(after.verified_ops, before.verified_ops);
+  EXPECT_EQ(after.proof_bytes, before.proof_bytes);
 }
 
 TEST_P(SecurityTest, TamperedInputAbortsCompaction) {
