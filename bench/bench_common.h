@@ -12,6 +12,7 @@
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "elsm/elsm_db.h"
 #include "ycsb/kv_interface.h"
@@ -107,6 +108,13 @@ inline void ReportRow(const char* bench, const std::string& series,
                       const char* x_name, double x, double value,
                       const char* unit = "us") {
   JsonReporter::Instance().Row(bench, series, x_name, x, value, unit);
+}
+
+// Median of repeated wall-clock measurements: the gated ratio rows of a
+// shared, noisy host report the middle of several repetitions, not one.
+inline double Median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
 }
 
 // Scaled default geometry shared by all benches.

@@ -84,11 +84,6 @@ double MeasureWallUs(ElsmDb& db, const std::vector<std::string>& keys,
   return wall.count() / double(threads * rounds * keys.size());
 }
 
-double Median(std::vector<double> v) {
-  std::sort(v.begin(), v.end());
-  return v[v.size() / 2];
-}
-
 // The threads run against a path cache far smaller than the tree, as on a
 // large store (perfbench's read-hot-zipf hits 99.4% of climbs yet hashes
 // about 3.85 path nodes per Get): every Get hashes, inserts and evicts a

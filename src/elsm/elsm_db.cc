@@ -1,16 +1,12 @@
 #include "elsm/elsm_db.h"
 
 #include <algorithm>
-#include <cstring>
 #include <map>
 #include <set>
 
 #include "common/coding.h"
-#include "common/retry.h"
 #include "crypto/cipher.h"
 #include "crypto/ope.h"
-#include "elsm/manifest_log.h"
-#include "sgxsim/sealed.h"
 
 namespace elsm {
 namespace {
@@ -77,6 +73,12 @@ ElsmDb::ElsmDb(const Options& options, std::shared_ptr<storage::Fs> fs,
   fs_->set_enclave(enclave_);
   engine_ = std::make_unique<lsm::LsmEngine>(MakeEngineOptions(options_),
                                              enclave_, fs_);
+  manifest_log_ = std::make_unique<manifest::ManifestLog>(
+      manifest::ManifestLog::Config{fs_.get(), enclave_.get(),
+                                    &platform_->counter, platform_->sealing_key,
+                                    options_.name + "/MANIFEST",
+                                    options_.name + "/EDITS", "manifest"},
+      options_);
   if (options_.mode == Mode::kP2 && options_.authenticate_data) {
     listener_ = std::make_unique<auth::AuthCompactionListener>(
         enclave_.get(), options_.embed_full_paths);
@@ -141,182 +143,48 @@ Result<std::unique_ptr<ElsmDb>> ElsmDb::Create(const Options& options) {
   return Open(options, nullptr, std::make_shared<TrustedPlatform>());
 }
 
-std::string ElsmDb::edits_name(uint64_t gen) const {
-  return manifest::TailName(options_.name + "/EDITS", gen);
-}
-
 Status ElsmDb::Recover() {
-  // A crash can strand a half-written MANIFEST.tmp; the atomic rename in
-  // PersistManifest means it was never the authoritative copy.
-  if (fs_->Exists(manifest_tmp_name())) (void)fs_->Delete(manifest_tmp_name());
-
-  if (!fs_->Exists(manifest_name())) {
-    if (options_.rollback_defense && platform_->counter.Read() > 0) {
-      // A manifest was sealed at least once (the counter only bumps after
-      // a successful persist) — a missing file means the host dropped the
-      // store's state wholesale.
-      return Status::RollbackDetected(
-          "manifest vanished: hardware counter is " +
-          std::to_string(platform_->counter.Read()) +
-          " but no sealed manifest exists");
-    }
-    if (options_.rollback_defense && !fs_->List(edits_prefix()).empty()) {
-      // The first persist is always a snapshot and snapshot installs only
-      // ever *replace* the file, so no legitimate history has a tail log
-      // without its snapshot — the host dropped the authoritative record
-      // while keeping deltas.
-      return Status::AuthFailure(
-          "manifest edit log present but its snapshot vanished");
-    }
-    // Fresh store — or a crash before the first manifest persist. Replay
-    // whatever the WAL holds; there is no sealed digest to hold it to yet.
-    Status s = ReplayWal(/*wal_count=*/0, crypto::kZeroHash,
-                         /*check_digest=*/false, /*flushed_ts=*/0);
-    if (!s.ok()) return s;
-    GcOrphanFiles();
-    return Status::Ok();
-  }
-
-  auto sealed = fs_->ReadAll(manifest_name());
-  if (!sealed.ok()) return sealed.status();
-  auto payload = sgx::Unseal(platform_->sealing_key, sealed.value());
-  if (!payload.ok()) {
-    return Status::AuthFailure("manifest seal broken: " +
-                               payload.status().message());
-  }
-
-  std::string_view cursor(payload.value());
-  manifest::RecordHeader header;
-  manifest::StoreState state;
-  std::string_view engine_manifest;
-  if (!manifest::GetHeader(&cursor, &header) ||
-      !manifest::GetStoreState(&cursor, &state) ||
-      !GetLengthPrefixed(&cursor, &engine_manifest)) {
-    return Status::Corruption("bad manifest payload");
-  }
-  if (header.kind != manifest::kSnapshot) {
-    return Status::AuthFailure(
-        "manifest file holds a delta record, not a snapshot (spliced log)");
-  }
-  enclave_->ChargeHash(payload.value().size());
-  crypto::Hash256 chain = crypto::Sha256::Digest(payload.value());
-  uint64_t seq = header.seq;
-  const uint64_t snapshot_gen = header.seq;
-
-  // Replay the snapshot generation's tail log: each complete frame must
-  // unseal, carry the next sequence number, and chain over the previous
-  // record's payload hash — reordering, splicing, or mid-log truncation
-  // all fail closed here. A trailing *partial* frame is the one crash
-  // artifact appends can leave (they are synced before the counter bump
-  // acknowledges them); it is dropped, and the tail is marked dirty so the
-  // next persist supersedes the file instead of appending after garbage.
-  std::vector<std::string> engine_edits;
-  uint64_t tail_records = 0;
-  uint64_t tail_bytes = 0;
-  bool dirty_tail = false;
-  if (fs_->Exists(edits_name(snapshot_gen))) {
-    auto raw = fs_->ReadAll(edits_name(snapshot_gen));
-    if (!raw.ok()) return raw.status();
-    bool torn = false;
-    for (std::string_view frame :
-         manifest::SplitFrames(raw.value(), &torn)) {
-      auto record = sgx::Unseal(platform_->sealing_key, frame);
-      if (!record.ok()) {
-        return Status::AuthFailure("manifest edit record seal broken: " +
-                                   record.status().message());
-      }
-      std::string_view record_cursor(record.value());
-      manifest::RecordHeader record_header;
-      manifest::StoreState record_state;
-      if (!manifest::GetHeader(&record_cursor, &record_header) ||
-          !manifest::GetStoreState(&record_cursor, &record_state)) {
-        return Status::Corruption("bad manifest edit record");
-      }
-      if (record_header.kind != manifest::kDelta) {
-        return Status::AuthFailure(
-            "snapshot record spliced into the manifest edit log");
-      }
-      if (record_header.seq != seq + 1) {
-        return Status::AuthFailure(
-            "manifest edit log sequence break: record " +
-            std::to_string(record_header.seq) + " after " +
-            std::to_string(seq) + " (reordered or spliced records)");
-      }
-      if (record_header.prev_chain != chain) {
-        return Status::AuthFailure(
-            "manifest edit log chain mismatch at record " +
-            std::to_string(record_header.seq));
-      }
-      if (record_state.counter < state.counter) {
-        return Status::AuthFailure(
-            "manifest edit log counter regressed at record " +
-            std::to_string(record_header.seq));
-      }
-      uint32_t edit_count = 0;
-      if (!GetVarint32(&record_cursor, &edit_count)) {
-        return Status::Corruption("bad manifest edit record");
-      }
-      for (uint32_t i = 0; i < edit_count; ++i) {
-        std::string_view edit;
-        if (!GetLengthPrefixed(&record_cursor, &edit)) {
-          return Status::Corruption("bad manifest edit record");
-        }
-        engine_edits.emplace_back(edit);
-      }
-      enclave_->ChargeHash(record.value().size());
-      chain = crypto::Sha256::Digest(record.value());
-      seq = record_header.seq;
-      state = record_state;
-      ++tail_records;
-      tail_bytes += 4 + frame.size();
-    }
-    dirty_tail = torn;
-  }
-
-  if (options_.rollback_defense) {
-    // Adjudicate on the newest acknowledged record: torn debris dropped
-    // above never had its bump, so the surviving log is exactly what the
-    // counter covers.
-    const uint64_t hw = platform_->counter.Read();
-    if (state.counter < hw) {
-      return Status::RollbackDetected(
-          "manifest log counter " + std::to_string(state.counter) +
-          " behind hardware counter " + std::to_string(hw));
-    }
-    if (state.counter == hw + 1) {
-      // Crash window: the record landed but the power failed before the
-      // bump. The record is the newest sealed state (the host cannot forge
-      // a counter value inside the seal) — sync the hardware to it.
-      platform_->counter.Increment();
-    } else if (state.counter > hw) {
-      return Status::Corruption("manifest log counter ahead of hardware");
-    }
-  }
-
-  Status s = engine_->RestoreManifest(engine_manifest);
+  manifest::ManifestLog::Replay replay;
+  Status s = manifest_log_->Recover(&replay);
   if (!s.ok()) return s;
-  // The restored stack carries fresh roots: retire the verified path nodes
-  // along with the engine's caches (its levels open their own sidecars).
-  verifier_.InvalidatePathCache();
-  for (const std::string& edit : engine_edits) {
-    s = engine_->ApplyEdit(edit);
+  // Snapshot body: store state | engine manifest. Delta body: store state |
+  // count | VersionEdits; the newest record's state wins. A fresh store (or
+  // a crash before the first persist) keeps the zero state, so its WAL
+  // replays with no sealed digest to hold it to.
+  manifest::StoreState state;
+  if (replay.found) {
+    std::string_view cursor(replay.snapshot);
+    std::string_view engine_manifest;
+    if (!manifest::GetStoreState(&cursor, &state) ||
+        !GetLengthPrefixed(&cursor, &engine_manifest)) {
+      return Status::Corruption("bad manifest payload");
+    }
+    std::vector<std::string_view> edits;
+    for (std::string_view delta : replay.deltas) {
+      uint32_t count = 0;
+      bool ok = manifest::GetStoreState(&delta, &state) &&
+                GetVarint32(&delta, &count);
+      for (uint32_t i = 0; ok && i < count; ++i) {
+        ok = GetLengthPrefixed(&delta, &edits.emplace_back());
+      }
+      if (!ok) return Status::Corruption("bad manifest edit record");
+    }
+    // RestoreManifest restarts the engine edit sequence at zero, so
+    // persisted_edit_seq_ = 0 covers everything replayed here.
+    s = engine_->RestoreManifest(engine_manifest);
     if (!s.ok()) return s;
+    // The restored stack carries fresh roots: retire the verified path
+    // nodes along with the engine's caches (its levels open their own
+    // sidecars).
+    verifier_.InvalidatePathCache();
+    for (std::string_view edit : edits) {
+      s = engine_->ApplyEdit(edit);
+      if (!s.ok()) return s;
+    }
   }
-  manifest_seq_ = seq;
-  manifest_chain_ = chain;
-  snapshot_seq_ = snapshot_gen;
-  tail_records_ = tail_records;
-  tail_bytes_ = tail_bytes;
-  // RestoreManifest restarted the engine edit sequence at zero; everything
-  // on disk is covered by the records just replayed.
-  persisted_edit_seq_ = 0;
-  have_snapshot_ = true;
-  force_snapshot_ = dirty_tail;
-  edits_dir_synced_ = false;
   last_ts_ = state.last_ts;
   flushed_ts_ = state.flushed_ts;
-  s = ReplayWal(state.wal_count, state.wal_digest, /*check_digest=*/true,
-                state.flushed_ts);
+  s = ReplayWal(state);
   if (!s.ok()) return s;
   GcOrphanFiles();
   return Status::Ok();
@@ -336,39 +204,37 @@ void ElsmDb::GcOrphanFiles() {
   // Only the current generation's tail file is live; stale EDITS-* files
   // (crash between a snapshot install and its tail truncation, or an
   // unsynced-loss rollback resurrecting one) are orphans like any other.
-  const std::string live_edits = edits_name(snapshot_seq_);
   for (const std::string& name : fs_->List(options_.name + "/")) {
-    if (name == manifest_name() || name == manifest_tmp_name() ||
-        name == wal_name || name == live_edits || keep.count(name) > 0) {
+    if (name == wal_name || manifest_log_->IsLogFile(name) ||
+        keep.count(name) > 0) {
       continue;
     }
     (void)fs_->Delete(name);
   }
 }
 
-Status ElsmDb::ReplayWal(uint64_t wal_count, const crypto::Hash256& wal_dig,
-                         bool check_digest, uint64_t flushed_ts) {
+Status ElsmDb::ReplayWal(const manifest::StoreState& sealed) {
   // The sealed digest must cover the WAL's persisted prefix exactly
   // (w1/§5.6.1); anything beyond extends the digest.
   auto wal = engine_->ReadWalRecords();
   if (!wal.ok()) return wal.status();
   const auto& records = wal.value().records;
-  if (records.size() < wal_count) {
+  if (records.size() < sealed.wal_count) {
     return Status::RollbackDetected("WAL shorter than sealed digest covers");
   }
   wal_digest_.Reset();
   for (size_t i = 0; i < records.size(); ++i) {
     enclave_->ChargeHash(records[i].size() + 32);
     wal_digest_.Append(records[i]);
-    if (check_digest && i + 1 == wal_count &&
-        wal_digest_.digest() != wal_dig) {
+    if (i + 1 == sealed.wal_count &&
+        wal_digest_.digest() != sealed.wal_digest) {
       return Status::AuthFailure("WAL digest mismatch on recovery");
     }
     std::string_view record_cursor(records[i]);
     auto record = lsm::Record::DecodeCore(&record_cursor);
     if (!record.ok()) return record.status();
     last_ts_ = std::max<uint64_t>(last_ts_, record.value().ts);
-    if (record.value().ts <= flushed_ts) {
+    if (record.value().ts <= sealed.flushed_ts) {
       // Leftover of a flush that persisted its manifest but crashed before
       // truncating the WAL: the record is already in the level stack, so
       // re-inserting it would duplicate an internal key across runs.
@@ -389,149 +255,34 @@ Status ElsmDb::PersistManifest(const crypto::Hash256& wal_dig,
                                uint64_t wal_count) {
   ++flush_count_;
   const bool bump =
-      options_.rollback_defense &&
       flush_count_ % std::max<uint32_t>(1, options_.counter_sync_period) == 0;
-  // Persist-level retry: a transiently failed snapshot install re-runs as
-  // the same idempotent atomic replace, and a transiently failed delta
-  // append sets force_snapshot_ inside the attempt — so the retry installs
-  // a fresh-generation snapshot instead of appending again behind possible
-  // garbage. The raw append is never blindly retried.
-  common::RetryStats rstats;
-  Status s = common::RunWithRetry(
-      options_.io_retry,
-      [&] { return PersistManifestOnce(wal_dig, wal_count, bump); },
-      [this](uint64_t ns) { enclave_->Advance(ns); }, &rstats);
-  engine_->NoteRetry(rstats);
-  return s;
-}
-
-Status ElsmDb::PersistManifestOnce(const crypto::Hash256& wal_dig,
-                                   uint64_t wal_count, bool bump) {
-  manifest::StoreState state;
-  state.last_ts = last_ts_;
-  state.flushed_ts = flushed_ts_;
-  state.wal_digest = wal_dig;
-  state.wal_count = wal_count;
-  // Record the post-bump value; the bump itself happens only after the
-  // record is durable, so a crash can never leave the hardware counter
-  // ahead of every record on disk (which would brick the store as a false
-  // rollback). Recovery tolerates the inverse window (record one ahead).
-  state.counter = platform_->counter.Read() + (bump ? 1 : 0);
-
+  const manifest::StoreState state{last_ts_.load(), flushed_ts_, wal_dig,
+                                   wal_count};
   uint64_t newest_edit_seq = 0;
-  std::vector<std::string> edits =
-      engine_->EditsSince(persisted_edit_seq_, &newest_edit_seq);
-
-  const bool snapshot =
-      !have_snapshot_ || force_snapshot_ ||
-      options_.manifest_snapshot_edits == 0 ||
-      tail_records_ >= options_.manifest_snapshot_edits ||
-      tail_bytes_ >= options_.manifest_snapshot_bytes;
-
-  manifest::RecordHeader header;
-  header.kind = snapshot ? manifest::kSnapshot : manifest::kDelta;
-  header.seq = manifest_seq_ + 1;
-  header.prev_chain = manifest_chain_;
-  std::string payload;
-  manifest::PutHeader(&payload, header);
-  manifest::PutStoreState(&payload, state);
-  if (snapshot) {
-    // The snapshot captures the whole stack and the engine edit sequence
-    // it covers atomically; edits through that sequence become redundant.
-    PutLengthPrefixed(&payload, engine_->EncodeManifest(&newest_edit_seq));
-  } else {
-    PutVarint32(&payload, static_cast<uint32_t>(edits.size()));
-    for (const std::string& edit : edits) PutLengthPrefixed(&payload, edit);
-  }
-  enclave_->ChargeHash(payload.size());  // seal MAC
-  enclave_->ChargeHash(payload.size());  // chain digest
-  enclave_->ChargeOcall();
-  std::string sealed = sgx::Seal(platform_->sealing_key, payload);
-  const uint64_t sealed_bytes = sealed.size();
-
-  if (snapshot) {
-    // Crash-consistent install (Fs::Sync contract): data fsync before the
-    // rename, directory fsync after it, counter bump only once the new
-    // snapshot is fully durable.
-    Status s = fs_->Write(manifest_tmp_name(), std::move(sealed));
-    if (!s.ok()) return s;
-    if (options_.sync_writes) {
-      s = fs_->Sync(manifest_tmp_name());
-      if (!s.ok()) return s;
-    }
-    s = fs_->Rename(manifest_tmp_name(), manifest_name());
-    if (!s.ok()) return s;
-    if (options_.sync_writes) {
-      s = fs_->SyncDir();
-      if (!s.ok()) return s;
-    }
-    // Tail truncation: the new snapshot supersedes every prior
-    // generation's tail, so delete them. Cleanup, not correctness — stale
-    // generations are ignored by name on recovery (an unsynced-loss crash
-    // may even resurrect one) and GC'd as orphans.
-    for (const std::string& name : fs_->List(edits_prefix())) {
-      if (name != edits_name(header.seq)) (void)fs_->Delete(name);
-    }
-    engine_->NoteManifestWrite(/*snapshot=*/true, sealed_bytes);
-    snapshot_seq_ = header.seq;
-    tail_records_ = 0;
-    tail_bytes_ = 0;
-    have_snapshot_ = true;
-    force_snapshot_ = false;
-    edits_dir_synced_ = false;
-  } else {
-    std::string frame;
-    manifest::AppendFrame(&frame, sealed);
-    const uint64_t frame_bytes = frame.size();
-    if (options_.sync_writes) {
-      // Namespace barrier *before* the record lands: the flush/compaction
-      // behind this persist fsynced its new SSTables' data, but their
-      // directory entries are not durable until SyncDir (fs.h contract).
-      // The snapshot path gets this for free from its post-rename SyncDir;
-      // an appended record would otherwise survive a crash that erases the
-      // very files it references.
-      Status sd = fs_->SyncDir();
-      if (!sd.ok()) return sd;
-    }
-    // Any failure from here on leaves the tail file in an unknown state (a
-    // partial frame may have landed); never append after possible garbage —
-    // the next persist must supersede the tail with a fresh-generation
-    // snapshot.
-    Status s = fs_->Append(edits_name(snapshot_seq_), frame);
-    if (!s.ok()) {
-      force_snapshot_ = true;
-      return s;
-    }
-    if (options_.sync_writes) {
-      s = fs_->Sync(edits_name(snapshot_seq_));
-      if (!s.ok()) {
-        force_snapshot_ = true;
-        return s;
-      }
-      if (!edits_dir_synced_) {
-        // One-time namespace barrier per tail generation: the freshly
-        // created file's directory entry is not durable until SyncDir
-        // (fs.h contract, same as the WAL's).
-        s = fs_->SyncDir();
-        if (!s.ok()) {
-          force_snapshot_ = true;
-          return s;
+  manifest::ManifestLog::Written written;
+  common::RetryStats rstats;
+  Status s = manifest_log_->Persist(
+      bump,
+      [&](bool snapshot, std::string* payload) {
+        manifest::PutStoreState(payload, state);
+        if (snapshot) {
+          // The snapshot captures the whole stack and the engine edit
+          // sequence it covers atomically; older edits become redundant.
+          PutLengthPrefixed(payload,
+                            engine_->EncodeManifest(&newest_edit_seq));
+          return;
         }
-        edits_dir_synced_ = true;
-      }
-    }
-    engine_->NoteManifestWrite(/*snapshot=*/false, frame_bytes);
-    ++tail_records_;
-    tail_bytes_ += frame_bytes;
-  }
-  manifest_seq_ = header.seq;
-  manifest_chain_ = crypto::Sha256::Digest(payload);
+        const std::vector<std::string> edits =
+            engine_->EditsSince(persisted_edit_seq_, &newest_edit_seq);
+        PutVarint32(payload, static_cast<uint32_t>(edits.size()));
+        for (const std::string& edit : edits) PutLengthPrefixed(payload, edit);
+      },
+      &written, &rstats);
+  engine_->NoteRetry(rstats);
+  if (!s.ok()) return s;
+  engine_->NoteManifestWrite(written.snapshot, written.bytes);
   persisted_edit_seq_ = newest_edit_seq;
   engine_->TrimEditsThrough(newest_edit_seq);
-  if (bump) {
-    platform_->counter.Increment();
-    enclave_->ChargeCounterBump();
-  }
   return Status::Ok();
 }
 

@@ -32,6 +32,7 @@
 #include "auth/wal_digest.h"
 #include "common/histogram.h"
 #include "common/status.h"
+#include "elsm/manifest_log.h"
 #include "elsm/options.h"
 #include "lsm/engine.h"
 #include "sgxsim/counter.h"
@@ -191,24 +192,14 @@ class ElsmDb {
          std::shared_ptr<TrustedPlatform> platform);
 
   Status Recover();
-  // Rebuilds the in-enclave WAL digest over every surviving frame and
-  // re-inserts the ones not yet in the level stack (ts > flushed_ts).
-  // `wal_count`/`wal_dig` are the sealed coverage from the manifest;
-  // `check_digest` is false on the fresh-store path, which has no sealed
-  // digest yet.
-  Status ReplayWal(uint64_t wal_count, const crypto::Hash256& wal_dig,
-                   bool check_digest, uint64_t flushed_ts);
-  // Seals one record of the manifest log and makes it durable, then bumps
-  // the monotonic counter. Most persists append an O(changed levels) delta
-  // record to the tail log (fsync-per-append under sync_writes); every
-  // manifest_snapshot_edits records / manifest_snapshot_bytes tail bytes —
-  // or whenever the tail may hold garbage (force_snapshot_) — a full
-  // snapshot is installed instead (write tmp + Sync + Rename + SyncDir)
-  // and the tail truncated by starting a new generation. The counter bump
-  // always comes after the record is durable, so recovery accepts the
-  // newest sealed record being exactly one ahead of the hardware counter —
-  // the crash window between the append/rename and the bump. The WAL
-  // coverage to record is passed explicitly so a flush can seal the
+  // Rebuilds the in-enclave WAL digest over every surviving frame, checks
+  // it against the sealed coverage (the first `wal_count` frames; none on a
+  // fresh store) and re-inserts the frames not yet in the level stack
+  // (ts > flushed_ts).
+  Status ReplayWal(const manifest::StoreState& sealed);
+  // Seals one manifest-log record (manifest_log.h: snapshot or delta per
+  // the cadence, counter bumped every counter_sync_period persists). The
+  // WAL coverage is passed explicitly so a flush can seal the
   // post-truncation state (empty digest) *before* mutating the live
   // wal_digest_ — a transiently failed persist must leave the in-memory
   // digest matching the untouched WAL.
@@ -216,10 +207,6 @@ class ElsmDb {
   Status PersistManifest() {
     return PersistManifest(wal_digest_.digest(), wal_digest_.count());
   }
-  // One attempt of the persist (PersistManifest wraps it in the retry
-  // policy; `bump` is decided once per logical persist).
-  Status PersistManifestOnce(const crypto::Hash256& wal_dig,
-                             uint64_t wal_count, bool bump);
   // Marks the store degraded when `s` is a capacity exhaustion; returns `s`
   // unchanged so write paths can tail-call it.
   Status NoteWriteResult(Status s);
@@ -267,15 +254,6 @@ class ElsmDb {
   void RecordOpStat(Histogram OpStats::*h, uint64_t latency_ns,
                     uint64_t samples = 1, uint64_t proof_bytes = 0,
                     uint64_t verified_ops = 0);
-  std::string manifest_name() const { return options_.name + "/MANIFEST"; }
-  std::string manifest_tmp_name() const {
-    return options_.name + "/MANIFEST.tmp";
-  }
-  // Tail-log file of generation `gen` (the seq of the snapshot that opened
-  // it); stale generations are ignored by name and garbage-collected.
-  std::string edits_name(uint64_t gen) const;
-  std::string edits_prefix() const { return options_.name + "/EDITS-"; }
-
   std::string TransformKey(std::string_view key) const;
   std::string TransformValue(std::string_view value, uint64_t ts) const;
   Status UntransformRecord(lsm::Record* record) const;
@@ -303,28 +281,10 @@ class ElsmDb {
   std::mutex flush_mu_;
   mutable std::mutex stats_mu_;
 
-  // --- manifest-log position (mutated under the exclusive db_mu_ section
-  // of every persist) -------------------------------------------------------
-  // Sequence and payload hash of the newest sealed record, chained into the
-  // next one; the generation (seq) of the current snapshot, which names the
-  // tail file; tail cadence counters; and the engine edit sequence already
-  // covered by sealed records.
-  uint64_t manifest_seq_ = 0;
-  crypto::Hash256 manifest_chain_ = crypto::kZeroHash;
-  uint64_t snapshot_seq_ = 0;
-  uint64_t tail_records_ = 0;
-  uint64_t tail_bytes_ = 0;
+  // The sealed manifest log, written under the exclusive db_mu_ section of
+  // every persist, and the engine edit sequence its records already cover.
+  std::unique_ptr<manifest::ManifestLog> manifest_log_;
   uint64_t persisted_edit_seq_ = 0;
-  // The store's first persist must be a snapshot (the tail has no base
-  // until one exists).
-  bool have_snapshot_ = false;
-  // Set when the tail file may end in garbage (a failed/torn append): the
-  // next persist must supersede it with a fresh-generation snapshot
-  // instead of appending after the damage.
-  bool force_snapshot_ = false;
-  // The current tail file's directory entry is known durable (fs.h: a
-  // freshly created file needs one SyncDir). Reset per generation.
-  bool edits_dir_synced_ = false;
 
   // Timestamp oracle. Writers hold db_mu_ *shared* (they serialize on the
   // engine's commit queue, not here), so the increment must be atomic;

@@ -1,86 +1,159 @@
-// Sealed manifest-log primitives shared by ElsmDb (per-store manifest) and
-// ShardedDb (super-manifest).
+// The sealed manifest log (paper §5.6.1), the one implementation behind
+// ElsmDb's per-store manifest (MANIFEST + EDITS-<g>) and ShardedDb's
+// super-manifest (SUPER + SUPER-EDITS-<g>). A caller supplies its record
+// body and applies the bodies replay hands back; the log position,
+// sealing, cadence, crash-consistent writes, counter bump and every
+// recovery check live here.
 //
-// Both logs follow the same shape: one sealed *snapshot* file holding the
-// full state (installed with the crash-consistent tmp+Sync+Rename+SyncDir
-// sequence), plus an append-only *tail* file of sealed delta records
-// (fsync-per-append under sync_writes). Every record — snapshot or delta —
-// carries a monotone sequence number and the SHA-256 of the previous
-// record's plaintext payload, forming one hash chain that runs through
-// snapshots, so records cannot be reordered, spliced across generations,
-// or replayed from a different position without breaking either the seal
-// (AuthFailure) or the chain (AuthFailure) or the counter floor
+// Layout: a sealed *snapshot* file with the full state, plus an
+// append-only *tail* "<tail_prefix>-<g>" of sealed delta records (g = the
+// seq of the snapshot that opened the generation), one frame per append:
+// Fixed32 length + sealed record. Every record payload is
+//   magic | kind | seq | prev_chain | counter | caller body
+// seq rises by 1 per record across snapshots, prev_chain is SHA-256 of the
+// previous payload, counter is the post-bump monotonic counter value the
+// record acknowledges. A reordered, duplicated, position-swapped or
+// foreign-generation record breaks the seal, kind, seq or chain
+// (AuthFailure); a stale but authentic log fails the counter
 // (RollbackDetected).
 //
-// Tail framing: each append is one frame, Fixed32 length + sealed record.
-// A crash can tear the *final* frame only (appends are synced before the
-// counter bump acknowledges them); recovery drops a trailing partial frame
-// silently — its bump never happened, so the surviving prefix is exactly
-// the acknowledged state. A *complete* frame that fails to unseal can never
-// be crash debris (a torn append is by definition shorter than its own
-// length header claims), so it is adjudicated as tampering.
+// Persist: the first record, the first after a failed append, and every
+// manifest_snapshot_edits records or manifest_snapshot_bytes tail bytes
+// is a snapshot (tmp + Sync + Rename + SyncDir, then stale tails deleted).
+// Otherwise one delta frame is appended behind a namespace barrier
+// (SyncDir, so the files it references survive a crash), then synced,
+// plus one SyncDir per generation for the tail's own entry. The counter
+// bumps only after the record is durable. Options::io_retry wraps the
+// persist; a failed append makes the retry install a snapshot instead.
+//
+// Recovery: only the final frame can be torn (an append is synced before
+// its bump); it is dropped and the next persist supersedes the tail. A
+// complete frame that fails to unseal is tampering. The newest record's
+// counter c is adjudicated against the hardware's hw: c < hw is
+// RollbackDetected, c == hw + 1 (crash before the bump) syncs the hardware
+// up, c > hw + 1 is Corruption. With no snapshot, hw > 0 is
+// RollbackDetected, a tail is AuthFailure, and anything else is fresh.
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "common/retry.h"
+#include "common/status.h"
 #include "crypto/sha256.h"
+#include "elsm/options.h"
+#include "sgxsim/counter.h"
+#include "sgxsim/enclave.h"
+#include "storage/fs.h"
 
 namespace elsm::manifest {
 
-// Domain tag leading every record payload ("ELSMLOG1"), so a manifest
-// record can never parse as some other sealed blob and vice versa.
-inline constexpr uint64_t kMagic = 0x31474f4c4d534c45ull;
-
-enum RecordKind : uint8_t {
-  kSnapshot = 1,  // full state; the authoritative file after install
-  kDelta = 2,     // incremental record appended to the tail log
-};
-
-// Common prefix of every record payload: magic | kind | seq | prev_chain.
-// `seq` increases by exactly 1 per record across the snapshot/tail
-// boundary; `prev_chain` is SHA-256 of the previous record's plaintext
-// payload (kZeroHash for the first record of a store's history).
-struct RecordHeader {
-  RecordKind kind = kSnapshot;
-  uint64_t seq = 0;
-  crypto::Hash256 prev_chain = crypto::kZeroHash;
-};
-
-void PutHeader(std::string* dst, const RecordHeader& header);
-// False on malformed input or magic mismatch (corrupt/foreign blob).
-bool GetHeader(std::string_view* input, RecordHeader* header);
-
-// Facade store-state block, present in every ElsmDb manifest record right
-// after the header: the fields recovery needs even when no structural
-// (level-stack) change rode along.
+// ElsmDb's body starts with the facade state recovery needs even when no
+// level-stack change rode along; ShardedDb reads last_ts from it too.
 struct StoreState {
   uint64_t last_ts = 0;
   uint64_t flushed_ts = 0;
   crypto::Hash256 wal_digest = crypto::kZeroHash;
   uint64_t wal_count = 0;
-  // The post-bump counter value this record acknowledges. The hardware
-  // bump happens only after the record is durable, so recovery tolerates
-  // the newest record being exactly one ahead of the hardware counter.
-  uint64_t counter = 0;
 };
 
 void PutStoreState(std::string* dst, const StoreState& state);
 bool GetStoreState(std::string_view* input, StoreState* state);
 
-// One tail frame: Fixed32 length + sealed record bytes.
-void AppendFrame(std::string* dst, std::string_view sealed);
-// Splits a tail file into complete sealed frames. A trailing partial frame
-// (torn append) is dropped and *torn set — the caller must treat the tail
-// file as dirty and supersede it with a fresh-generation snapshot rather
-// than append after the garbage.
-std::vector<std::string_view> SplitFrames(std::string_view raw, bool* torn);
+// A log as an outside reader sees it: ShardedDb pins every shard's log in
+// its super-manifest. Each record must carry the seal and the kind of its
+// position (AuthFailure otherwise); seq, chain and counter are left to the
+// owner's own recovery.
+struct LogImage {
+  // Raw snapshot and live-tail bytes; null when absent.
+  std::shared_ptr<const std::string> snapshot;
+  std::shared_ptr<const std::string> tail;
+  // The snapshot's body, then each complete tail record's body.
+  std::vector<std::string> bodies;
+};
+Status ReadLogImage(const storage::Fs& fs, std::string_view sealing_key,
+                    const std::string& snapshot_name,
+                    const std::string& tail_prefix, const std::string& what,
+                    LogImage* image);
 
-// Tail-file naming: "<prefix>-<gen>", where gen is the sequence number of
-// the snapshot that opened the generation. Stale generations are ignored
-// by name and garbage-collected.
-std::string TailName(const std::string& prefix, uint64_t gen);
+class ManifestLog {
+ public:
+  // Where the log lives and what binds it. The pointers must outlive it.
+  struct Config {
+    storage::Fs* fs = nullptr;
+    // Charged for the seal, the chain hashes, the ocall and the bump.
+    sgx::Enclave* enclave = nullptr;
+    sgx::MonotonicCounter* counter = nullptr;
+    std::string sealing_key;
+    std::string snapshot_name;  // e.g. "<store>/MANIFEST"
+    std::string tail_prefix;    // e.g. "<store>/EDITS"
+    std::string what;           // e.g. "manifest", for error messages
+  };
+  // Takes sync_writes, io_retry and the manifest_snapshot_* cadence from
+  // `options`.
+  ManifestLog(Config config, const Options& options);
+
+  // The bodies of a replayed log, oldest first.
+  struct Replay {
+    bool found = false;  // false: no record was ever made durable
+    std::string snapshot;
+    std::vector<std::string> deltas;
+  };
+  Status Recover(Replay* replay);
+
+  // Appends the caller's body for the record kind the cadence picked.
+  // Called once per attempt, so it must not consume state.
+  using BodyWriter = std::function<void(bool snapshot, std::string* payload)>;
+  struct Written {
+    bool snapshot = false;
+    uint64_t bytes = 0;  // sealed snapshot bytes or tail frame bytes
+  };
+  // Seals one record and makes it durable, then bumps the counter when
+  // `bump`. `written` and `retry_stats` may be null.
+  Status Persist(bool bump, const BodyWriter& body,
+                 Written* written = nullptr,
+                 common::RetryStats* retry_stats = nullptr);
+
+  // True once the log has a snapshot and a tail that ends cleanly: a
+  // record with an unchanged body would only burn a counter bump.
+  bool clean() const { return have_snapshot_ && !force_snapshot_; }
+  // The snapshot, its tmp file or the live tail.
+  bool IsLogFile(const std::string& name) const;
+  // Deletes the tails of superseded generations. Stale tails are ignored
+  // by name, so this is cleanup, not correctness.
+  void DropStaleTails();
+
+ private:
+  Status PersistOnce(bool bump, const BodyWriter& body, Written* written);
+  std::string tail_name() const;
+
+  Config config_;
+  std::string tmp_name_;
+  bool sync_writes_;
+  uint32_t snapshot_edits_;
+  uint64_t snapshot_bytes_;
+  common::RetryPolicy retry_;
+
+  // Log position: seq and payload hash of the newest sealed record, the
+  // generation (seq of the current snapshot) naming the tail, and the
+  // tail's cadence counters.
+  uint64_t seq_ = 0;
+  crypto::Hash256 chain_ = crypto::kZeroHash;
+  uint64_t generation_ = 0;
+  uint64_t tail_records_ = 0;
+  uint64_t tail_bytes_ = 0;
+  // The first persist must be a snapshot: a tail needs a base.
+  bool have_snapshot_ = false;
+  // The tail may end in garbage (a failed or torn append): the next
+  // persist supersedes it with a fresh-generation snapshot.
+  bool force_snapshot_ = false;
+  // The live tail's directory entry is durable (one SyncDir per
+  // generation, fs.h contract).
+  bool tail_dir_synced_ = false;
+};
 
 }  // namespace elsm::manifest

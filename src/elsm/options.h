@@ -120,7 +120,8 @@ struct Options {
   bool embed_full_paths = false;  // paper-literal proof layout (DESIGN.md §2)
 
   // --- freshness / rollback defence (§5.6.1) -------------------------------
-  bool rollback_defense = true;
+  // The sealed manifest log is always bound to the trusted monotonic
+  // counter (src/elsm/manifest_log.h); this sets how often it bumps.
   uint32_t counter_sync_period = 1;  // flushes per monotonic-counter bump
   // Seal + persist the manifest on every flush (durable default). Benches
   // disable it to keep the measured path free of manifest-sealing costs;

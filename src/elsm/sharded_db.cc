@@ -7,12 +7,28 @@
 #include "common/coding.h"
 #include "elsm/manifest_log.h"
 #include "lsm/merge_iter.h"
-#include "sgxsim/sealed.h"
 
 namespace elsm {
 namespace {
 
 constexpr uint32_t kMaxShards = 4096;
+
+// One row of the super-manifest table: a shard's log digest and its
+// last_ts floor. Readers check the body size up front, so rows never run
+// short.
+void PutShardEntry(std::string* dst, const crypto::Hash256& digest,
+                   uint64_t floor) {
+  dst->append(reinterpret_cast<const char*>(digest.data()), 32);
+  PutFixed64(dst, floor);
+}
+
+bool GetShardEntry(std::string_view* input, crypto::Hash256* digest,
+                   uint64_t* floor) {
+  if (input->size() < 32) return false;
+  std::memcpy(digest->data(), input->data(), 32);
+  input->remove_prefix(32);
+  return GetFixed64(input, floor);
+}
 
 }  // namespace
 
@@ -35,17 +51,15 @@ std::string ShardedDb::ShardName(const std::string& base_name,
   return base_name + buf;
 }
 
-std::string ShardedDb::super_edits_name(uint64_t gen) const {
-  return manifest::TailName(options_.name + "/SUPER-EDITS", gen);
-}
-
 ShardedDb::ShardedDb(const Options& base, uint32_t num_shards,
                      std::shared_ptr<ShardEnv> env)
     : options_(base),
       num_shards_(num_shards),
       env_(std::move(env)),
       meta_enclave_(std::make_shared<sgx::Enclave>(
-          base.cost_model, base.mode != Mode::kUnsecured)) {
+          base.cost_model, base.mode != Mode::kUnsecured)),
+      recorded_digests_(num_shards, crypto::kZeroHash),
+      recorded_last_ts_(num_shards, 0) {
   if (options_.fanout_pool != nullptr) {
     pool_ = options_.fanout_pool;
   } else if (options_.fanout_threads > 0) {
@@ -80,6 +94,13 @@ ShardedDb::ShardedDb(const Options& base, uint32_t num_shards,
           storage::MakeFs(options_.backend, options_.backend_dir, meta_enclave_);
     }
   }
+  super_log_ = std::make_unique<manifest::ManifestLog>(
+      manifest::ManifestLog::Config{
+          env_->meta_fs.get(), meta_enclave_.get(),
+          &env_->meta_platform->counter, env_->meta_platform->sealing_key,
+          options_.name + "/SUPER", options_.name + "/SUPER-EDITS",
+          "super-manifest"},
+      options_);
 }
 
 ShardedDb::~ShardedDb() {
@@ -122,21 +143,13 @@ Result<std::unique_ptr<ShardedDb>> ShardedDb::Create(const Options& base,
 }
 
 Status ShardedDb::OpenShards() {
-  if (env_->meta_fs->Exists(super_tmp_name())) {
-    (void)env_->meta_fs->Delete(super_tmp_name());
-  }
   bool found = false;
   Status s = VerifySuperManifest(&found);
   if (!s.ok()) return s;
-  if (!found && options_.rollback_defense) {
-    // No super-manifest: acceptable only for a genuinely fresh store. Any
-    // shard with sealed state (or a bumped trusted counter) means the host
-    // deleted the cross-shard binding.
-    if (env_->meta_platform->counter.Read() > 0) {
-      return Status::RollbackDetected(
-          "super-manifest vanished: meta counter is " +
-          std::to_string(env_->meta_platform->counter.Read()));
-    }
+  if (!found) {
+    // No super-manifest (and, checked by the log, no meta counter bump):
+    // acceptable only for a genuinely fresh store. Any shard with sealed
+    // state means the host deleted the cross-shard binding.
     for (uint32_t i = 0; i < num_shards_; ++i) {
       if (env_->shard_fs[i]->Exists(shard_manifest_name(i)) ||
           env_->shard_platforms[i]->counter.Read() > 0) {
@@ -146,14 +159,9 @@ Status ShardedDb::OpenShards() {
       }
     }
   }
-  // Drop tail files from superseded generations (a crash between a SUPER
-  // snapshot install and the old tail's deletion strands one); they are
-  // already ignored by name.
-  const std::string live_tail =
-      found ? super_edits_name(super_snapshot_seq_) : std::string();
-  for (const std::string& name : env_->meta_fs->List(super_edits_prefix())) {
-    if (name != live_tail) (void)env_->meta_fs->Delete(name);
-  }
+  // A crash between a SUPER snapshot install and the old tail's deletion
+  // strands a tail file that recovery already ignored by name.
+  super_log_->DropStaleTails();
   shards_.reserve(num_shards_);
   health_.clear();
   for (uint32_t i = 0; i < num_shards_; ++i) {
@@ -176,57 +184,28 @@ Status ShardedDb::ShardManifestState(uint32_t shard, crypto::Hash256* digest,
                                      uint64_t* last_ts) const {
   *digest = crypto::kZeroHash;
   *last_ts = 0;
-  auto blob = env_->shard_fs[shard]->Blob(shard_manifest_name(shard));
-  if (blob == nullptr) return Status::Ok();
-  auto payload =
-      sgx::Unseal(env_->shard_platforms[shard]->sealing_key, *blob);
-  if (!payload.ok()) {
-    return Status::AuthFailure(
-        "shard " + std::to_string(shard) +
-        " manifest is not sealed under its shard key: " +
-        payload.status().message());
-  }
-  std::string_view cursor(payload.value());
-  manifest::RecordHeader header;
-  manifest::StoreState state;
-  if (!manifest::GetHeader(&cursor, &header) ||
-      header.kind != manifest::kSnapshot ||
-      !manifest::GetStoreState(&cursor, &state)) {
-    return Status::Corruption("bad shard manifest payload");
-  }
-  *last_ts = state.last_ts;
-  // The shard's authoritative manifest is the snapshot plus its live tail
-  // of sealed delta records; digest both so the super pins the shard's
-  // exact log content, and take the last_ts floor from the newest sealed
-  // record. Chain/sequence validation over the tail is the shard's own
-  // recovery job — here every record just has to carry the shard's seal.
-  crypto::Sha256 hasher;
-  hasher.Update(*blob);
-  uint64_t hashed_bytes = blob->size();
-  auto tail = env_->shard_fs[shard]->Blob(manifest::TailName(
-      ShardName(options_.name, shard) + "/EDITS", header.seq));
-  if (tail != nullptr) {
-    hasher.Update(*tail);
-    hashed_bytes += tail->size();
-    bool torn = false;
-    for (std::string_view frame : manifest::SplitFrames(*tail, &torn)) {
-      auto record =
-          sgx::Unseal(env_->shard_platforms[shard]->sealing_key, frame);
-      if (!record.ok()) {
-        return Status::AuthFailure(
-            "shard " + std::to_string(shard) +
-            " manifest edit record is not sealed under its shard key: " +
-            record.status().message());
-      }
-      std::string_view rc(record.value());
-      manifest::RecordHeader rh;
-      manifest::StoreState rs;
-      if (!manifest::GetHeader(&rc, &rh) || rh.kind != manifest::kDelta ||
-          !manifest::GetStoreState(&rc, &rs)) {
-        return Status::Corruption("bad shard manifest edit record");
-      }
-      *last_ts = std::max(*last_ts, rs.last_ts);
+  // Chain/sequence validation is the shard's own recovery job; here every
+  // record just has to carry the shard's seal and its position's kind.
+  const std::string shard_name = ShardName(options_.name, shard);
+  manifest::LogImage image;
+  Status s = manifest::ReadLogImage(
+      *env_->shard_fs[shard], env_->shard_platforms[shard]->sealing_key,
+      shard_name + "/MANIFEST", shard_name + "/EDITS",
+      "shard " + std::to_string(shard) + " manifest", &image);
+  if (!s.ok() || image.snapshot == nullptr) return s;
+  for (std::string_view body : image.bodies) {
+    manifest::StoreState state;
+    if (!manifest::GetStoreState(&body, &state)) {
+      return Status::Corruption("bad shard manifest payload");
     }
+    *last_ts = std::max(*last_ts, state.last_ts);
+  }
+  crypto::Sha256 hasher;
+  hasher.Update(*image.snapshot);
+  uint64_t hashed_bytes = image.snapshot->size();
+  if (image.tail != nullptr) {
+    hasher.Update(*image.tail);
+    hashed_bytes += image.tail->size();
   }
   meta_enclave_->ChargeHash(hashed_bytes);
   *digest = hasher.Finalize();
@@ -234,43 +213,17 @@ Status ShardedDb::ShardManifestState(uint32_t shard, crypto::Hash256* digest,
 }
 
 Status ShardedDb::VerifySuperManifest(bool* found) {
-  *found = false;
-  if (!env_->meta_fs->Exists(super_name())) {
-    // A tail log with no snapshot base is never a legitimate history:
-    // snapshots are installed atomically and tails deleted only after a
-    // replacement snapshot lands. With a bumped meta counter the caller's
-    // vanished-super check raises the stronger RollbackDetected; this
-    // catches the counter-zero corner (tail planted before any bump).
-    if (options_.rollback_defense &&
-        env_->meta_platform->counter.Read() == 0 &&
-        !env_->meta_fs->List(super_edits_prefix()).empty()) {
-      return Status::AuthFailure(
-          "super-manifest edit log present but its snapshot vanished");
-    }
-    return Status::Ok();
-  }
+  manifest::ManifestLog::Replay replay;
+  Status s = super_log_->Recover(&replay);
+  *found = replay.found;
+  if (!s.ok() || !replay.found) return s;
 
-  auto sealed = env_->meta_fs->ReadAll(super_name());
-  if (!sealed.ok()) return sealed.status();
-  auto payload = sgx::Unseal(env_->meta_platform->sealing_key, sealed.value());
-  if (!payload.ok()) {
-    return Status::AuthFailure("super-manifest seal broken: " +
-                               payload.status().message());
-  }
-
-  std::string_view cursor(payload.value());
-  manifest::RecordHeader header;
+  // Snapshot body: shard count | table. Delta body: count | (shard, entry)*
+  // for the shards that changed.
+  std::string_view cursor(replay.snapshot);
   uint64_t shard_count = 0;
-  uint64_t counter_value = 0;
-  if (!manifest::GetHeader(&cursor, &header) ||
-      !GetFixed64(&cursor, &shard_count) ||
-      !GetFixed64(&cursor, &counter_value)) {
+  if (!GetFixed64(&cursor, &shard_count)) {
     return Status::Corruption("bad super-manifest payload");
-  }
-  if (header.kind != manifest::kSnapshot) {
-    return Status::AuthFailure(
-        "super-manifest file holds a delta record, not a snapshot (spliced "
-        "log)");
   }
   if (shard_count != num_shards_) {
     return Status::InvalidArgument(
@@ -284,106 +237,22 @@ Status ShardedDb::VerifySuperManifest(bool* found) {
   std::vector<crypto::Hash256> table(num_shards_, crypto::kZeroHash);
   std::vector<uint64_t> floors(num_shards_, 0);
   for (uint32_t i = 0; i < num_shards_; ++i) {
-    std::memcpy(table[i].data(), cursor.data(), 32);
-    cursor.remove_prefix(32);
-    if (!GetFixed64(&cursor, &floors[i])) {
-      return Status::Corruption("bad super-manifest digest block");
-    }
+    GetShardEntry(&cursor, &table[i], &floors[i]);
   }
-  meta_enclave_->ChargeHash(payload.value().size());
-  crypto::Hash256 chain = crypto::Sha256::Digest(payload.value());
-  uint64_t seq = header.seq;
-
-  // Replay the SUPER-EDITS tail of this snapshot's generation: each sealed
-  // delta record must extend the hash chain with the next sequence number
-  // and a non-regressing counter, and overlays only the shards it names.
-  uint64_t tail_records = 0;
-  uint64_t tail_bytes = 0;
-  bool dirty_tail = false;
-  const std::string tail_name = super_edits_name(header.seq);
-  if (env_->meta_fs->Exists(tail_name)) {
-    auto raw = env_->meta_fs->ReadAll(tail_name);
-    if (!raw.ok()) return raw.status();
-    bool torn = false;
-    for (std::string_view frame : manifest::SplitFrames(raw.value(), &torn)) {
-      auto record = sgx::Unseal(env_->meta_platform->sealing_key, frame);
-      if (!record.ok()) {
-        return Status::AuthFailure("super-manifest edit record seal broken: " +
-                                   record.status().message());
-      }
-      std::string_view rc(record.value());
-      manifest::RecordHeader rh;
-      uint64_t record_counter = 0;
-      if (!manifest::GetHeader(&rc, &rh) ||
-          !GetFixed64(&rc, &record_counter)) {
-        return Status::Corruption("bad super-manifest edit record");
-      }
-      if (rh.kind != manifest::kDelta) {
-        return Status::AuthFailure(
-            "snapshot record spliced into the super-manifest edit log");
-      }
-      if (rh.seq != seq + 1) {
-        return Status::AuthFailure(
-            "super-manifest edit log sequence break: record " +
-            std::to_string(rh.seq) + " follows " + std::to_string(seq) +
-            " (reordered or spliced records)");
-      }
-      if (rh.prev_chain != chain) {
-        return Status::AuthFailure(
-            "super-manifest edit log chain mismatch at record " +
-            std::to_string(rh.seq));
-      }
-      if (record_counter < counter_value) {
-        return Status::AuthFailure(
-            "super-manifest edit record counter regressed");
-      }
-      uint32_t changed = 0;
-      if (!GetVarint32(&rc, &changed) ||
-          rc.size() != size_t(changed) * 44) {
-        return Status::Corruption("bad super-manifest edit record");
-      }
-      for (uint32_t i = 0; i < changed; ++i) {
-        uint32_t shard = 0;
-        if (!GetFixed32(&rc, &shard)) {
-          return Status::Corruption("bad super-manifest edit record");
-        }
-        if (shard >= num_shards_) {
-          return Status::Corruption(
-              "super-manifest edit record names shard " +
-              std::to_string(shard) + " of " + std::to_string(num_shards_));
-        }
-        std::memcpy(table[shard].data(), rc.data(), 32);
-        rc.remove_prefix(32);
-        if (!GetFixed64(&rc, &floors[shard])) {
-          return Status::Corruption("bad super-manifest edit record");
-        }
-      }
-      meta_enclave_->ChargeHash(record.value().size());
-      chain = crypto::Sha256::Digest(record.value());
-      seq = rh.seq;
-      counter_value = record_counter;
-      ++tail_records;
-      tail_bytes += 4 + frame.size();
+  for (std::string_view delta : replay.deltas) {
+    uint32_t changed = 0;
+    if (!GetVarint32(&delta, &changed) || delta.size() != size_t(changed) * 44) {
+      return Status::Corruption("bad super-manifest edit record");
     }
-    dirty_tail = torn;
-  }
-
-  // Adjudicate freshness on the *final* replayed state: the counter in the
-  // newest sealed record (snapshot or delta) is the one whose bump may
-  // still be pending after a crash.
-  if (options_.rollback_defense) {
-    const uint64_t hw = env_->meta_platform->counter.Read();
-    if (counter_value < hw) {
-      return Status::RollbackDetected(
-          "super-manifest counter " + std::to_string(counter_value) +
-          " behind hardware counter " + std::to_string(hw));
-    }
-    if (counter_value == hw + 1) {
-      // Crash window between the record's durability and the bump; the
-      // sealed counter cannot be forged, so sync the hardware to it.
-      env_->meta_platform->counter.Increment();
-    } else if (counter_value > hw) {
-      return Status::Corruption("super-manifest counter ahead of hardware");
+    for (uint32_t i = 0; i < changed; ++i) {
+      uint32_t shard = 0;
+      GetFixed32(&delta, &shard);
+      if (shard >= num_shards_) {
+        return Status::Corruption(
+            "super-manifest edit record names shard " +
+            std::to_string(shard) + " of " + std::to_string(num_shards_));
+      }
+      GetShardEntry(&delta, &table[shard], &floors[shard]);
     }
   }
 
@@ -397,7 +266,7 @@ Status ShardedDb::VerifySuperManifest(bool* found) {
     }
     crypto::Hash256 current;
     uint64_t current_last_ts = 0;
-    Status s = ShardManifestState(i, &current, &current_last_ts);
+    s = ShardManifestState(i, &current, &current_last_ts);
     if (!s.ok()) return s;
     if (current == table[i]) continue;  // exact content the super sealed
     // Content differs: legal only when the shard moved *forward* (its
@@ -413,18 +282,8 @@ Status ShardedDb::VerifySuperManifest(bool* found) {
           std::to_string(floors[i]) + ")");
     }
   }
-
   recorded_digests_ = std::move(table);
   recorded_last_ts_ = std::move(floors);
-  super_seq_ = seq;
-  super_chain_ = chain;
-  super_snapshot_seq_ = header.seq;
-  super_tail_records_ = tail_records;
-  super_tail_bytes_ = tail_bytes;
-  have_super_ = true;
-  force_super_snapshot_ = dirty_tail;
-  super_edits_dir_synced_ = false;
-  *found = true;
   return Status::Ok();
 }
 
@@ -434,128 +293,39 @@ Status ShardedDb::PersistSuperManifest() {
   // the next record must carry.
   std::vector<crypto::Hash256> digests(num_shards_);
   std::vector<uint64_t> floors(num_shards_);
+  std::vector<uint32_t> changed;
   for (uint32_t i = 0; i < num_shards_; ++i) {
     Status s = ShardManifestState(i, &digests[i], &floors[i]);
     if (!s.ok()) return s;
-  }
-  std::vector<uint32_t> changed;
-  for (uint32_t i = 0; i < num_shards_; ++i) {
-    if (!have_super_ || digests[i] != recorded_digests_[i] ||
+    if (digests[i] != recorded_digests_[i] ||
         floors[i] != recorded_last_ts_[i]) {
       changed.push_back(i);
     }
   }
-  if (have_super_ && changed.empty() && !force_super_snapshot_) {
+  if (changed.empty() && super_log_->clean()) {
     // The durable log already pins exactly this state; a record would only
     // burn a counter bump.
     return Status::Ok();
   }
-
-  const bool bump = options_.rollback_defense;
-  const uint64_t counter_value =
-      env_->meta_platform->counter.Read() + (bump ? 1 : 0);
-  const bool snapshot = !have_super_ || force_super_snapshot_ ||
-                        options_.manifest_snapshot_edits == 0 ||
-                        super_tail_records_ >= options_.manifest_snapshot_edits ||
-                        super_tail_bytes_ >= options_.manifest_snapshot_bytes;
-
-  manifest::RecordHeader header;
-  header.kind = snapshot ? manifest::kSnapshot : manifest::kDelta;
-  header.seq = super_seq_ + 1;
-  header.prev_chain = super_chain_;
-  std::string payload;
-  manifest::PutHeader(&payload, header);
-  if (snapshot) {
-    PutFixed64(&payload, num_shards_);
-    PutFixed64(&payload, counter_value);
-    for (uint32_t i = 0; i < num_shards_; ++i) {
-      payload.append(reinterpret_cast<const char*>(digests[i].data()), 32);
-      PutFixed64(&payload, floors[i]);
-    }
-  } else {
-    PutFixed64(&payload, counter_value);
-    PutVarint32(&payload, static_cast<uint32_t>(changed.size()));
-    for (uint32_t i : changed) {
-      PutFixed32(&payload, i);
-      payload.append(reinterpret_cast<const char*>(digests[i].data()), 32);
-      PutFixed64(&payload, floors[i]);
-    }
-  }
-  // Two passes inside the enclave: the seal's MAC and the chain digest the
-  // next record embeds.
-  meta_enclave_->ChargeHash(payload.size());
-  meta_enclave_->ChargeHash(payload.size());
-  meta_enclave_->ChargeOcall();
-  std::string sealed = sgx::Seal(env_->meta_platform->sealing_key, payload);
-
-  if (snapshot) {
-    // Same crash-consistent install as the shard manifests: fsync data
-    // before the rename, fsync the namespace after it, bump last. The old
-    // generation's tail is deleted only after the new snapshot is durable —
-    // a crash in between strands a stale tail that recovery ignores by
-    // name and garbage-collects.
-    Status s = env_->meta_fs->Write(super_tmp_name(), std::move(sealed));
-    if (!s.ok()) return s;
-    if (options_.sync_writes) {
-      s = env_->meta_fs->Sync(super_tmp_name());
-      if (!s.ok()) return s;
-    }
-    s = env_->meta_fs->Rename(super_tmp_name(), super_name());
-    if (!s.ok()) return s;
-    if (options_.sync_writes) {
-      s = env_->meta_fs->SyncDir();
-      if (!s.ok()) return s;
-    }
-    for (const std::string& name :
-         env_->meta_fs->List(super_edits_prefix())) {
-      if (name != super_edits_name(header.seq)) {
-        (void)env_->meta_fs->Delete(name);
-      }
-    }
-    super_snapshot_seq_ = header.seq;
-    super_tail_records_ = 0;
-    super_tail_bytes_ = 0;
-    have_super_ = true;
-    force_super_snapshot_ = false;
-    super_edits_dir_synced_ = false;
-  } else {
-    // Delta append: any failure below may leave garbage at the tail's end,
-    // so the next persist must supersede the file with a fresh-generation
-    // snapshot instead of appending after it.
-    std::string frame;
-    manifest::AppendFrame(&frame, sealed);
-    const std::string tail_name = super_edits_name(super_snapshot_seq_);
-    Status s = env_->meta_fs->Append(tail_name, frame);
-    if (!s.ok()) {
-      force_super_snapshot_ = true;
-      return s;
-    }
-    if (options_.sync_writes) {
-      s = env_->meta_fs->Sync(tail_name);
-      if (!s.ok()) {
-        force_super_snapshot_ = true;
-        return s;
-      }
-      if (!super_edits_dir_synced_) {
-        s = env_->meta_fs->SyncDir();
-        if (!s.ok()) {
-          force_super_snapshot_ = true;
-          return s;
+  Status s = super_log_->Persist(
+      /*bump=*/true,
+      [&](bool snapshot, std::string* payload) {
+        if (snapshot) {
+          PutFixed64(payload, num_shards_);
+          for (uint32_t i = 0; i < num_shards_; ++i) {
+            PutShardEntry(payload, digests[i], floors[i]);
+          }
+          return;
         }
-        super_edits_dir_synced_ = true;
-      }
-    }
-    ++super_tail_records_;
-    super_tail_bytes_ += frame.size();
-  }
-  super_seq_ = header.seq;
-  super_chain_ = crypto::Sha256::Digest(payload);
+        PutVarint32(payload, static_cast<uint32_t>(changed.size()));
+        for (uint32_t i : changed) {
+          PutFixed32(payload, i);
+          PutShardEntry(payload, digests[i], floors[i]);
+        }
+      });
+  if (!s.ok()) return s;
   recorded_digests_ = std::move(digests);
   recorded_last_ts_ = std::move(floors);
-  if (bump) {
-    env_->meta_platform->counter.Increment();
-    meta_enclave_->ChargeCounterBump();
-  }
   return Status::Ok();
 }
 

@@ -37,13 +37,14 @@
 // between), so a digest mismatch is resolved through the monotone
 // last_ts floor — moved forward is benign, behind the floor is an attack.
 //
-// The super-manifest uses the same delta-log layout as the per-shard
-// manifests (src/elsm/manifest_log.h): a sealed SUPER snapshot holding the
-// full digest table plus a hash-chained SUPER-EDITS-<gen> tail whose delta
-// records carry only the shards whose state changed — O(changed shards)
-// per refresh instead of rewriting O(shards) state — with a full snapshot
-// every Options::manifest_snapshot_edits records. Refreshes that change
-// nothing are skipped entirely (no record, no counter bump).
+// The super-manifest is a manifest::ManifestLog on meta_fs, the same class
+// that writes and replays every shard's own manifest: a sealed SUPER
+// snapshot holding the full digest table plus a hash-chained
+// SUPER-EDITS-<gen> tail whose delta records carry only the shards whose
+// state changed — O(changed shards) per refresh instead of rewriting
+// O(shards) state — with a full snapshot every
+// Options::manifest_snapshot_edits records. Every record bumps the meta
+// counter; refreshes that change nothing are skipped entirely.
 //
 // Not provided: cross-shard atomicity. A WriteBatch spanning shards is
 // applied per shard (each sub-batch atomically); timestamps are per-shard.
@@ -62,6 +63,7 @@
 #include "common/thread_pool.h"
 #include "crypto/sha256.h"
 #include "elsm/elsm_db.h"
+#include "elsm/manifest_log.h"
 
 namespace elsm {
 
@@ -238,9 +240,10 @@ class ShardedDb {
   Status MaintenanceFanOut(const std::function<Status(ElsmDb&)>& fn);
   bool ShardSick(uint32_t shard) const;
   void NoteShardResult(uint32_t shard, const Status& s);
-  // Verifies the sealed super-manifest against the trusted meta counter and
-  // the shard disks (drop/swap/count/rollback-floor checks). Sets
-  // *found=false when no super-manifest exists (fresh store candidate).
+  // Replays the sealed super-manifest log (the meta counter checks live in
+  // manifest::ManifestLog) and checks its table against the shard disks:
+  // drop, swap, count and rollback-floor. Sets *found=false when no
+  // super-manifest exists (fresh store candidate).
   Status VerifySuperManifest(bool* found);
   Status PersistSuperManifest();
   // Digest + last_ts of shard's on-disk manifest log (zero/0 when absent).
@@ -255,12 +258,6 @@ class ShardedDb {
   std::string shard_manifest_name(uint32_t shard) const {
     return ShardName(options_.name, shard) + "/MANIFEST";
   }
-  std::string super_name() const { return options_.name + "/SUPER"; }
-  std::string super_tmp_name() const { return options_.name + "/SUPER.tmp"; }
-  std::string super_edits_name(uint64_t gen) const;
-  std::string super_edits_prefix() const {
-    return options_.name + "/SUPER-EDITS-";
-  }
 
   Options options_;
   uint32_t num_shards_;
@@ -274,21 +271,11 @@ class ShardedDb {
   // point ops never take it.
   std::mutex super_mu_;
 
-  // --- super-manifest log position (mutated under super_mu_ / open) --------
-  // Mirrors ElsmDb's manifest-log state: seq + payload hash of the newest
-  // sealed record, the generation of the current SUPER snapshot (names the
-  // SUPER-EDITS tail), tail cadence counters, and dirty-tail/first-persist
-  // flags. recorded_* cache the per-shard (digest, last_ts floor) table the
-  // durable log currently encodes, so a refresh appends only the shards
-  // that changed — and is skipped entirely when none did.
-  uint64_t super_seq_ = 0;
-  crypto::Hash256 super_chain_ = crypto::kZeroHash;
-  uint64_t super_snapshot_seq_ = 0;
-  uint64_t super_tail_records_ = 0;
-  uint64_t super_tail_bytes_ = 0;
-  bool have_super_ = false;
-  bool force_super_snapshot_ = false;
-  bool super_edits_dir_synced_ = false;
+  // The super-manifest log (written under super_mu_ or during open) and the
+  // per-shard (digest, last_ts floor) table it currently encodes, so a
+  // refresh appends only the shards that changed — and is skipped entirely
+  // when none did.
+  std::unique_ptr<manifest::ManifestLog> super_log_;
   std::vector<crypto::Hash256> recorded_digests_;
   std::vector<uint64_t> recorded_last_ts_;
 

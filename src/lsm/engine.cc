@@ -1067,9 +1067,9 @@ Status LsmEngine::StreamCompaction(const Version& base,
     if (!merge.status().ok()) return merge.status();
     UpdatePeakResident(merge.resident_bytes() + held_bytes + group_bytes);
 
-    // Drop policy (§5.4): at the bottom, a tombstone-led group vanishes.
+    // Drop policy (§5.4): every version is kept (eLSM chains serve
+    // time-travel GETs), but at the bottom a tombstone-led group vanishes.
     if (to_bottom && group.front().deleted()) continue;
-    if (!options_.keep_old_versions) group.resize(1);
 
     enclave_->Copy(group.size() * 128, /*cross_boundary=*/false);
     blobs.clear();

@@ -104,10 +104,6 @@ struct LsmOptions {
   // integrity contract at all.
   bool verify_blocks = false;
   std::string mac_key = "elsm-p1-file-key";
-  // Keep superseded versions of a key during compaction (eLSM chains need
-  // them for time-travel GETs); tombstone-covered records are still dropped
-  // when merging into the deepest level.
-  bool keep_old_versions = true;
   // Honor the Fs::Sync durability contract on the write path: fsync the
   // WAL before acknowledging, and SSTables/tree sidecars before they can
   // be referenced by a manifest. No-op on SimFs, real fsyncs on PosixFs.

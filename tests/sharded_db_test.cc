@@ -37,6 +37,48 @@ std::string Key(int i) {
   return buf;
 }
 
+// The one file under `prefix` (a manifest log's live tail).
+std::string OnlyFile(storage::Fs& fs, const std::string& prefix) {
+  auto names = fs.List(prefix);
+  EXPECT_EQ(names.size(), 1u) << "expected exactly one " << prefix << "*";
+  return names.empty() ? std::string() : names[0];
+}
+
+// Splits a manifest-log tail into self-contained frames (Fixed32 length +
+// sealed record each), so attacks can drop, reorder or duplicate whole
+// records and write the file back as a plain concatenation.
+std::vector<std::string> ReadFrames(storage::Fs& fs, const std::string& name) {
+  auto raw = fs.ReadAll(name);
+  EXPECT_TRUE(raw.ok()) << raw.status().ToString();
+  std::vector<std::string> frames;
+  if (!raw.ok()) return frames;
+  std::string_view cursor(raw.value());
+  while (cursor.size() >= 4) {
+    std::string_view peek = cursor;
+    uint32_t len = 0;
+    EXPECT_TRUE(GetFixed32(&peek, &len));
+    if (peek.size() < len) break;
+    frames.emplace_back(cursor.substr(0, 4 + len));
+    cursor.remove_prefix(4 + len);
+  }
+  EXPECT_TRUE(cursor.empty()) << "torn tail in a cleanly closed store";
+  return frames;
+}
+
+void WriteFrames(storage::Fs& fs, const std::string& name,
+                 const std::vector<std::string>& frames) {
+  std::string raw;
+  for (const std::string& frame : frames) raw += frame;
+  ASSERT_TRUE(fs.Write(name, raw).ok());
+}
+
+// `sealed` framed as one tail record.
+std::string Frame(const std::string& sealed) {
+  std::string frame;
+  PutFixed32(&frame, static_cast<uint32_t>(sealed.size()));
+  return frame + sealed;
+}
+
 TEST(ShardedDbTest, RoutingIsStableAndCoversAllShards) {
   constexpr uint32_t kShards = 8;
   auto db = ShardedDb::Create(ShardOptions(), kShards);
@@ -271,13 +313,48 @@ TEST_F(ShardedAdversaryTest, DeletedSuperManifestDetectedOnReopen) {
       << reopened.status().ToString();
 }
 
+// A shard's own log is read by the super-manifest check before the shard
+// opens; a record moved between the snapshot and tail positions must read
+// as tampering there, exactly as on a single store.
+TEST_F(ShardedAdversaryTest, ShardDeltaRecordAsSnapshotDetected) {
+  ASSERT_TRUE(db_->Close().ok());
+  db_.reset();
+  storage::Fs& fs = *env_->shard_fs[1];
+  const std::string shard = ShardedDb::ShardName(ShardOptions().name, 1);
+  auto frames = ReadFrames(fs, OnlyFile(fs, shard + "/EDITS-"));
+  ASSERT_GE(frames.size(), 1u);
+  ASSERT_TRUE(fs.Write(shard + "/MANIFEST", frames.back().substr(4)).ok());
+  auto reopened = ShardedDb::Open(ShardOptions(), kShards, env_);
+  ASSERT_FALSE(reopened.ok()) << "shard delta record accepted as snapshot";
+  EXPECT_TRUE(reopened.status().IsAuthFailure())
+      << reopened.status().ToString();
+}
+
+TEST_F(ShardedAdversaryTest, ShardSnapshotSplicedIntoTailDetected) {
+  ASSERT_TRUE(db_->Close().ok());
+  db_.reset();
+  storage::Fs& fs = *env_->shard_fs[1];
+  const std::string shard = ShardedDb::ShardName(ShardOptions().name, 1);
+  const std::string tail = OnlyFile(fs, shard + "/EDITS-");
+  auto frames = ReadFrames(fs, tail);
+  auto snapshot = fs.ReadAll(shard + "/MANIFEST");
+  ASSERT_TRUE(snapshot.ok());
+  frames.push_back(Frame(snapshot.value()));
+  WriteFrames(fs, tail, frames);
+  auto reopened = ShardedDb::Open(ShardOptions(), kShards, env_);
+  ASSERT_FALSE(reopened.ok()) << "shard snapshot accepted inside its tail";
+  EXPECT_TRUE(reopened.status().IsAuthFailure())
+      << reopened.status().ToString();
+}
+
 // --- super-manifest edit-log adversary --------------------------------------
 //
-// The super-manifest is the same sealed log shape as the per-shard
+// The super-manifest is the same sealed log class as the per-shard
 // manifests: a SUPER snapshot plus a hash-chained SUPER-EDITS tail of
-// delta records. Structural attacks on that log (truncate, reorder, stale
-// replay, dropped snapshot) must fail closed exactly like their
-// single-store counterparts in security_test.cc.
+// delta records. Structural attacks on that log (truncate, reorder,
+// duplicate, stale replay, dropped snapshot, splices between the snapshot
+// and tail positions, a counter gap wider than one) must fail closed
+// exactly like their single-store counterparts in security_test.cc.
 class SuperLogAdversaryTest : public ShardedAdversaryTest {
  protected:
   // Another write+flush round so the super tail gains one more sealed
@@ -295,34 +372,15 @@ class SuperLogAdversaryTest : public ShardedAdversaryTest {
   }
 
   std::string SuperTailName() {
-    auto names = env_->meta_fs->List(ShardOptions().name + "/SUPER-EDITS-");
-    EXPECT_EQ(names.size(), 1u) << "expected exactly one live super tail";
-    return names.empty() ? std::string() : names[0];
+    return OnlyFile(*env_->meta_fs, ShardOptions().name + "/SUPER-EDITS-");
   }
 
-  // Self-contained frames (Fixed32 length + sealed record each).
   std::vector<std::string> SuperTailFrames() {
-    auto raw = env_->meta_fs->ReadAll(SuperTailName());
-    EXPECT_TRUE(raw.ok()) << raw.status().ToString();
-    std::vector<std::string> frames;
-    if (!raw.ok()) return frames;
-    std::string_view cursor(raw.value());
-    while (cursor.size() >= 4) {
-      std::string_view peek = cursor;
-      uint32_t len = 0;
-      EXPECT_TRUE(GetFixed32(&peek, &len));
-      if (peek.size() < len) break;
-      frames.emplace_back(cursor.substr(0, 4 + len));
-      cursor.remove_prefix(4 + len);
-    }
-    EXPECT_TRUE(cursor.empty()) << "torn super tail in a clean store";
-    return frames;
+    return ReadFrames(*env_->meta_fs, SuperTailName());
   }
 
   void WriteSuperTail(const std::vector<std::string>& frames) {
-    std::string raw;
-    for (const std::string& frame : frames) raw += frame;
-    ASSERT_TRUE(env_->meta_fs->Write(SuperTailName(), raw).ok());
+    WriteFrames(*env_->meta_fs, SuperTailName(), frames);
   }
 };
 
@@ -391,6 +449,75 @@ TEST_F(SuperLogAdversaryTest, DroppedSuperSnapshotUnderTailFailsClosed) {
   EXPECT_TRUE(reopened.status().IsRollbackDetected() ||
               reopened.status().IsAuthFailure())
       << reopened.status().ToString();
+}
+
+TEST_F(SuperLogAdversaryTest, DuplicatedSuperTailRecordDetected) {
+  // A legitimate record replayed at a second position breaks seq + 1 even
+  // though its seal verifies.
+  CloseDb();
+  auto frames = SuperTailFrames();
+  ASSERT_GE(frames.size(), 1u);
+  frames.push_back(frames.back());
+  WriteSuperTail(frames);
+  auto reopened = ShardedDb::Open(ShardOptions(), kShards, env_);
+  ASSERT_FALSE(reopened.ok()) << "duplicated super record accepted";
+  EXPECT_TRUE(reopened.status().IsAuthFailure())
+      << reopened.status().ToString();
+}
+
+TEST_F(SuperLogAdversaryTest, SnapshotSplicedIntoSuperTailDetected) {
+  CloseDb();
+  auto snapshot = env_->meta_fs->ReadAll(ShardOptions().name + "/SUPER");
+  ASSERT_TRUE(snapshot.ok());
+  auto frames = SuperTailFrames();
+  frames.push_back(Frame(snapshot.value()));
+  WriteSuperTail(frames);
+  auto reopened = ShardedDb::Open(ShardOptions(), kShards, env_);
+  ASSERT_FALSE(reopened.ok()) << "SUPER snapshot accepted inside the tail";
+  EXPECT_TRUE(reopened.status().IsAuthFailure())
+      << reopened.status().ToString();
+}
+
+TEST_F(SuperLogAdversaryTest, DeltaRecordAsSuperSnapshotDetected) {
+  CloseDb();
+  auto frames = SuperTailFrames();
+  ASSERT_GE(frames.size(), 1u);
+  ASSERT_TRUE(env_->meta_fs
+                  ->Write(ShardOptions().name + "/SUPER",
+                          frames.back().substr(4))
+                  .ok());
+  auto reopened = ShardedDb::Open(ShardOptions(), kShards, env_);
+  ASSERT_FALSE(reopened.ok()) << "super delta record accepted as SUPER";
+  EXPECT_TRUE(reopened.status().IsAuthFailure())
+      << reopened.status().ToString();
+}
+
+TEST_F(SuperLogAdversaryTest, MetaCounterOneAheadWindowIsExactlyOne) {
+  // The newest super record may be exactly one ahead of the meta counter
+  // (crash between record and bump); recovery syncs the hardware up for
+  // that gap and fails closed for any wider one.
+  CloseDb();
+  const uint64_t hw = env_->meta_platform->counter.Read();
+  ASSERT_GE(hw, 2u);
+  auto behind = [&](uint64_t gap) {
+    auto platform = std::make_shared<TrustedPlatform>();
+    platform->sealing_key = env_->meta_platform->sealing_key;
+    for (uint64_t i = 0; i + gap < hw; ++i) platform->counter.Increment();
+    return platform;
+  };
+
+  env_->meta_platform = behind(2);
+  auto rejected = ShardedDb::Open(ShardOptions(), kShards, env_);
+  ASSERT_FALSE(rejected.ok()) << "two-ahead sealed meta counter accepted";
+  EXPECT_TRUE(rejected.status().IsCorruption())
+      << rejected.status().ToString();
+
+  env_->meta_platform = behind(1);
+  auto reopened = ShardedDb::Open(ShardOptions(), kShards, env_);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ(env_->meta_platform->counter.Read(), hw)
+      << "recovery must sync the meta counter to the sealed value";
+  ASSERT_TRUE(reopened.value()->Close().ok());
 }
 
 TEST(ShardedRollbackTest, SingleShardRollbackInsideCounterWindowDetected) {
