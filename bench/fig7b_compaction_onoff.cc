@@ -1,7 +1,7 @@
 // Figure 7b: write latency with vs without COMPACTION for eLSM-P2 and
 // eLSM-P1, plus reads racing a deep merge: wall-clock Get p99 while the
-// merge runs inline (blocking the facade lock) vs on the engine's
-// background thread (snapshot reads, PR 2).
+// merge runs inline (blocking the facade lock) vs on the store's
+// compaction-job thread (snapshot reads).
 //
 // Expected shape: enabling compaction costs ~2-4x on the write path (the
 // merge work amortizes into every put); with or without it, P2 writes are
@@ -44,7 +44,7 @@ struct CompactionReadResult {
 // Loads and fully compacts a store, reopens it with capacities shrunk so a
 // full cascade of merges is pending, then measures wall-clock Get latency
 // while the cascade runs — inline (background=false: the merge holds the
-// facade's write lock) or on the engine thread (background=true: readers
+// facade's write lock) or on the compaction job (background=true: readers
 // run against immutable snapshots).
 CompactionReadResult ReadLatencyDuringCompaction(bool background,
                                                  uint64_t records) {

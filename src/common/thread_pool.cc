@@ -42,10 +42,12 @@ std::future<void> ThreadPool::Submit(std::function<void()> fn) {
     return future;
   }
   {
+    // Notify under the lock: once a worker can pop the task, Submit
+    // touches the pool no more (see the header).
     std::lock_guard<std::mutex> lock(mu_);
     queue_.push(std::move(task));
+    cv_.notify_one();
   }
-  cv_.notify_one();
   return future;
 }
 

@@ -1,5 +1,6 @@
 // Fixed-size shared worker pool for cross-shard fan-out (ROADMAP "parallel
-// cross-shard scan fan-out and batch fan-out"). Tasks are plain
+// cross-shard scan fan-out and batch fan-out"); each common::BackgroundJob
+// runs on one too. Tasks are plain
 // std::function<void()> jobs pushed onto one FIFO queue; Submit returns a
 // future the caller can join on, ParallelFor is the fork-join helper the
 // ShardedDb fan-out paths use. A pool of size 0 degrades to inline
@@ -35,7 +36,9 @@ class ThreadPool {
   size_t size() const { return workers_.size(); }
 
   // Enqueues one task (runs it inline when the pool has no workers). The
-  // returned future rethrows any task exception on get().
+  // returned future rethrows any task exception on get(). Submit touches no
+  // pool state once the task can start, so a caller that has seen the
+  // task finish may destroy the pool while the Submit call returns.
   std::future<void> Submit(std::function<void()> fn);
 
   // Runs fn(0), ..., fn(n-1) and blocks until all complete. With workers

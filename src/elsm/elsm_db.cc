@@ -19,10 +19,8 @@ lsm::LsmOptions MakeEngineOptions(const Options& o) {
   eo.level_ratio = o.level_ratio;
   eo.block_bytes = o.block_bytes;
   eo.file_bytes = o.file_bytes;
-  eo.bloom_bits_per_key = o.bloom_bits_per_key;
   eo.use_bloom = o.use_bloom;
   eo.compaction_enabled = o.compaction_enabled;
-  eo.background_compaction = o.background_compaction;
   eo.sync_writes = o.sync_writes;
   eo.wal_sync_interval_us = o.wal_sync_interval_us;
   eo.io_retry = o.io_retry;
@@ -66,7 +64,10 @@ ElsmDb::ElsmDb(const Options& options, std::shared_ptr<storage::Fs> fs,
                                               options.mode != Mode::kUnsecured)),
       fs_(std::move(fs)),
       platform_(std::move(platform)),
-      verifier_(enclave_.get(), options.proof_path_cache_entries) {
+      verifier_(enclave_.get(), options.proof_path_cache_entries),
+      flush_job_([this] { return AsyncFlushOnce(); }, options.async_flush),
+      compaction_job_([this] { return CompactOnce(); },
+                      options.background_compaction) {
   if (fs_ == nullptr) {
     fs_ = storage::MakeFs(options_.backend, options_.backend_dir, enclave_);
   }
@@ -85,10 +86,6 @@ ElsmDb::ElsmDb(const Options& options, std::shared_ptr<storage::Fs> fs,
     engine_->SetListener(listener_.get());
   }
   assembler_ = std::make_unique<auth::ProofAssembler>(fs_);
-  if (options_.background_compaction) {
-    engine_->SetCompactionCallback(
-        [this] { return PersistAfterBackgroundCompaction(); });
-  }
   // The in-enclave WAL digest is maintained by the engine's commit leader:
   // cores arrive here in WAL byte order, per record, only after the whole
   // cohort's frames are durable (sync_writes) and under the engine's
@@ -101,14 +98,10 @@ ElsmDb::ElsmDb(const Options& options, std::shared_ptr<storage::Fs> fs,
     enclave_->ChargeHash(core.size() + 32);
     wal_digest_.Append(core);
   });
-  if (options_.async_flush) {
-    flush_thread_ = std::thread([this] { FlushWorker(); });
-  }
 }
 
 ElsmDb::~ElsmDb() {
   if (!closed_) (void)Close();
-  StopFlushWorker();  // Close stops it too; needed when Open never finished
 }
 
 Result<std::unique_ptr<ElsmDb>> ElsmDb::Open(
@@ -346,11 +339,9 @@ Status ElsmDb::RunFlush(FlushKind kind) {
   // the async kind lets them proceed into the fresh memtable while the
   // sealed one merges.
   const bool truncate = kind != FlushKind::kAsync;
-  if (options_.background_compaction) {
-    // Drain the engine thread before taking db_mu_, so readers only ever
-    // wait behind the bounded memtable->L1 merge, never a deep ripple.
-    engine_->WaitForCompaction();
-  }
+  // Drain the compaction job before taking db_mu_, so readers only ever
+  // wait behind the bounded memtable->L1 merge, never a deep ripple.
+  compaction_job_.WaitIdle();
   std::unique_lock<std::shared_mutex> lock(db_mu_);
   if (closed_) return Status::Ok();
   if (kind == FlushKind::kIfFull && !FlushDue()) {
@@ -411,19 +402,15 @@ Status ElsmDb::RunFlush(FlushKind kind) {
   engine_->PurgeObsoleteFiles();
   lock.unlock();
   if (options_.background_compaction && kind != FlushKind::kCompactAll) {
-    engine_->ScheduleCompaction();
+    compaction_job_.Schedule();
   }
   return Status::Ok();
 }
 
 Status ElsmDb::MaybeScheduleFlush() {
   if (!options_.async_flush) return FlushInternal(/*only_if_full=*/true);
-  {
-    std::lock_guard<std::mutex> lock(flush_state_mu_);
-    flush_pending_ = true;
-    flush_cv_.notify_one();
-  }
-  // Back-pressure: fall back to a synchronous flush when the worker cannot
+  flush_job_.Schedule();
+  // Back-pressure: fall back to a synchronous flush when the job cannot
   // keep up (the active memtable has blown far past its limit) or when the
   // WAL has outgrown its bound and needs the truncating full flush only
   // the synchronous path performs.
@@ -439,53 +426,26 @@ Status ElsmDb::AsyncFlushOnce() {
   return RunFlush(FlushKind::kAsync);
 }
 
-void ElsmDb::FlushWorker() {
-  std::unique_lock<std::mutex> lock(flush_state_mu_);
-  while (true) {
-    flush_cv_.wait(lock, [this] { return flush_pending_ || flush_stop_; });
-    if (flush_stop_) return;
-    flush_pending_ = false;
-    flush_running_ = true;
-    lock.unlock();
-    Status s = AsyncFlushOnce();
-    lock.lock();
-    if (!s.ok() && flush_status_.ok()) flush_status_ = s;
-    flush_running_ = false;
-    flush_done_cv_.notify_all();
-  }
-}
-
-void ElsmDb::StopFlushWorker() {
-  {
-    std::lock_guard<std::mutex> lock(flush_state_mu_);
-    flush_stop_ = true;
-    flush_cv_.notify_one();
-  }
-  if (flush_thread_.joinable()) flush_thread_.join();
-}
-
 Status ElsmDb::WaitForFlush() {
-  if (!options_.async_flush) return Status::Ok();
-  std::unique_lock<std::mutex> lock(flush_state_mu_);
-  flush_done_cv_.wait(lock, [this] {
-    return (!flush_pending_ && !flush_running_) || flush_stop_;
-  });
-  Status s = std::move(flush_status_);
-  flush_status_ = Status::Ok();
-  return s;
+  flush_job_.WaitIdle();
+  return flush_job_.TakeStatus();
 }
 
-Status ElsmDb::PersistAfterBackgroundCompaction() {
-  // Durability catch-up: the ripple changed the level stack after the
-  // flush-time manifest. Skipped when flush-time persistence is off (the
-  // bench configuration) — Close() still writes the final manifest. A
-  // failure here surfaces through WaitForCompaction().
-  if (!options_.persist_manifest_on_flush) return Status::Ok();
+Status ElsmDb::CompactOnce() {
+  Status s = engine_->MaybeCompact();
+  // Durability catch-up: a background ripple changed the level stack after
+  // the flush-time manifest. An inline ripple (the option off) leaves it to
+  // the next flush or Close(), and so does a store that skips flush-time
+  // persistence (the bench configuration).
+  if (!options_.background_compaction || !options_.persist_manifest_on_flush) {
+    return s;
+  }
   std::unique_lock<std::shared_mutex> lock(db_mu_);
-  if (closed_) return Status::Ok();
-  Status s = PersistManifest();
-  if (s.ok()) engine_->PurgeObsoleteFiles();
-  return NoteWriteResult(std::move(s));
+  if (closed_) return s;
+  Status persisted = PersistManifest();
+  if (persisted.ok()) engine_->PurgeObsoleteFiles();
+  persisted = NoteWriteResult(std::move(persisted));
+  return s.ok() ? persisted : s;
 }
 
 Status ElsmDb::NoteWriteResult(Status s) {
@@ -746,11 +706,11 @@ Status ElsmDb::CompactAll() {
   return RunFlush(FlushKind::kCompactAll);
 }
 
-void ElsmDb::ScheduleCompaction() { engine_->ScheduleCompaction(); }
+void ElsmDb::ScheduleCompaction() { compaction_job_.Schedule(); }
 
 Status ElsmDb::WaitForCompaction() {
-  engine_->WaitForCompaction();
-  return engine_->TakeBackgroundStatus();
+  compaction_job_.WaitIdle();
+  return compaction_job_.TakeStatus();
 }
 
 Status ElsmDb::Close() {
@@ -758,15 +718,16 @@ Status ElsmDb::Close() {
     std::unique_lock<std::shared_mutex> lock(db_mu_);
     if (closed_) return Status::Ok();
   }
-  // Join the async-flush worker first (it takes flush_mu_ for its flushes,
-  // so it must be gone before we hold that lock across the final persist);
-  // a flush it had pending simply stays in the WAL and replays on reopen.
-  StopFlushWorker();
-  // Serialize with in-flight flushes, then stop the engine thread before
-  // the final manifest so no compaction (background or a racing flusher's
-  // schedule) can run after it is written.
+  // Stop the flush job first: a flush requested before Close still runs
+  // (it takes flush_mu_, so it must be done before we hold that lock
+  // across the final persist) and lands before the final manifest.
+  flush_job_.Stop();
+  // Serialize with in-flight flushes, then stop the compaction job before
+  // the final manifest: a requested ripple still runs, and none (a racing
+  // flusher's schedule included) can run after the manifest is written,
+  // which would orphan its files on disk.
   std::lock_guard<std::mutex> flush_lock(flush_mu_);
-  engine_->StopBackgroundCompaction();
+  compaction_job_.Stop();
   std::unique_lock<std::shared_mutex> lock(db_mu_);
   if (closed_) return Status::Ok();
   closed_ = true;

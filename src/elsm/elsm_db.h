@@ -17,19 +17,18 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <shared_mutex>
 #include <string>
 #include <string_view>
-#include <thread>
 
 #include "auth/listener.h"
 #include "auth/proof.h"
 #include "auth/verifier.h"
 #include "auth/wal_digest.h"
+#include "common/background_job.h"
 #include "common/histogram.h"
 #include "common/status.h"
 #include "elsm/manifest_log.h"
@@ -120,21 +119,22 @@ class ElsmDb {
                                         std::string_view k2);
 
   // Flush L0 + ripple compaction + persist the sealed manifest. With
-  // background_compaction the ripple is scheduled on the engine thread
-  // instead of running inline, so the exclusive section stays bounded by
-  // the memtable->L1 merge.
+  // background_compaction the ripple is scheduled on the compaction job's
+  // thread instead of running inline, so the exclusive section stays
+  // bounded by the memtable->L1 merge.
   Status Flush();
   Status CompactAll();
   // Background-compaction hooks: request a ripple pass (inline when the
-  // option is off) / drain the engine thread and surface any error a pass
-  // or its manifest persist hit (immediately Ok when it is off).
+  // option is off) / wait until no pass is pending or running, then
+  // surface (and clear) the first error a pass or its manifest persist hit.
   void ScheduleCompaction();
   Status WaitForCompaction();
   // Async-flush hook (Options::async_flush): blocks until no background
   // flush is pending or running, then surfaces (and clears) the first
   // error a background flush hit. Immediately Ok when async flush is off.
   Status WaitForFlush();
-  // Persist and stop; the Fs/platform can be reused to reopen.
+  // Runs the flush and ripple already requested, persists and stops; the
+  // Fs/platform can be reused to reopen.
   Status Close();
 
   // --- degraded operation (transient-fault tolerance) ----------------------
@@ -225,29 +225,27 @@ class ElsmDb {
   // kCompactAll merges the whole stack, always persists, and truncates.
   enum class FlushKind { kSync, kIfFull, kAsync, kCompactAll };
   // The one flush routine (caller holds flush_mu_): seal, merge, persist,
-  // truncate the WAL when asked, purge. Drains the engine thread *before*
+  // truncate the WAL when asked, purge. Drains the compaction job *before*
   // taking db_mu_, so readers are never blocked behind a deep merge, and
   // schedules/runs the ripple per the options.
   Status RunFlush(FlushKind kind);
   // The active memtable is full or the WAL has outgrown wal_bound().
   bool FlushDue() const;
   // Writer-path flush dispatch: synchronous FlushInternal when async_flush
-  // is off; otherwise wakes the flush worker and returns immediately,
+  // is off; otherwise schedules the flush job and returns immediately,
   // falling back to a synchronous flush only under back-pressure (active
-  // memtable 4x over its limit — the worker cannot keep up) or once the
+  // memtable 4x over its limit — the job cannot keep up) or once the
   // WAL outgrows wal_bound() and needs a truncating full flush.
   Status MaybeScheduleFlush();
-  // One background flush: RunFlush(kAsync) under flush_mu_.
+  // The flush job: RunFlush(kAsync) under flush_mu_.
   Status AsyncFlushOnce();
-  void FlushWorker();
-  void StopFlushWorker();
   uint64_t wal_bound() const {
     return options_.max_wal_bytes != 0 ? options_.max_wal_bytes
                                        : 8 * options_.memtable_bytes;
   }
-  // Engine-thread callback: re-persists the manifest after a ripple pass;
-  // errors surface through WaitForCompaction().
-  Status PersistAfterBackgroundCompaction();
+  // The compaction job: one ripple pass, then (background_compaction only)
+  // a manifest persist; errors surface through WaitForCompaction().
+  Status CompactOnce();
   // Folds one call into op_stats_ under a single stats_mu_ acquisition:
   // `samples` latency samples of `latency_ns` each, plus the proof bytes
   // and the number of ops it verified.
@@ -277,7 +275,7 @@ class ElsmDb {
   // the engine-response *snapshot*, so background compaction never holds
   // this lock — a GET issued mid-merge completes without waiting for it.
   mutable std::shared_mutex db_mu_;
-  // Serializes flushers so the engine-thread drain happens outside db_mu_.
+  // Serializes flushers so the compaction drain happens outside db_mu_.
   std::mutex flush_mu_;
   mutable std::mutex stats_mu_;
 
@@ -305,21 +303,15 @@ class ElsmDb {
   std::atomic<bool> degraded_{false};
   OpStats op_stats_;
 
-  // --- async flush worker (Options::async_flush) ---------------------------
-  // One background thread drains sealed memtables so writers never stall on
-  // a flush. flush_state_mu_ guards only the handshake flags; the worker
-  // takes flush_mu_ (like every flusher) for the flush itself.
-  std::thread flush_thread_;
-  std::mutex flush_state_mu_;
-  std::condition_variable flush_cv_;       // wakes the worker
-  std::condition_variable flush_done_cv_;  // wakes WaitForFlush
-  bool flush_pending_ = false;
-  bool flush_running_ = false;
-  bool flush_stop_ = false;
-  // First error a background flush hit; surfaced and cleared by
-  // WaitForFlush (writers otherwise keep succeeding — their WAL frames are
-  // durable regardless of whether the flush behind them landed).
-  Status flush_status_;
+  // The background jobs, each on its own thread when its option is on and
+  // inline otherwise. Two threads, not one shared queue: a synchronous
+  // flusher waits for the compaction job to go idle while it holds
+  // flush_mu_, which the flush job takes. A flush job error waits for
+  // WaitForFlush (writers keep succeeding: their WAL frames are durable
+  // whether or not the flush behind them landed). Declared last: they run
+  // code that uses every member above.
+  common::BackgroundJob flush_job_;
+  common::BackgroundJob compaction_job_;
 };
 
 }  // namespace elsm

@@ -63,8 +63,9 @@ struct Options {
   uint64_t wal_sync_interval_us = 0;
   // Move memtable sealing off the writer path: when the active memtable
   // fills, writers seal it and roll to a fresh one, and the sealed
-  // (immutable) memtable flushes on a background worker — a Put never
-  // stalls behind a memtable->L1 merge. Off by default: the synchronous
+  // (immutable) memtable flushes on the store's flush-job thread — a Put
+  // never stalls behind a memtable->L1 merge. A flush requested before
+  // Close() lands before the final manifest. Off by default: the synchronous
   // path flushes inline and truncates the WAL every flush, which is the
   // deterministic behavior most tests and single-threaded callers want.
   // With async flush the WAL is truncated only by a forced synchronous
@@ -83,12 +84,12 @@ struct Options {
   uint32_t level_ratio = 4;
   uint64_t block_bytes = 4096;
   uint64_t file_bytes = 64 << 10;
-  int bloom_bits_per_key = 10;
   bool use_bloom = true;
   bool compaction_enabled = true;
-  // Run ripple compaction on the engine's background thread: flushes
-  // schedule it and return, so reads never wait for a deep merge. Drive
-  // deterministically with ScheduleCompaction()/WaitForCompaction().
+  // Run ripple compaction on the store's compaction-job thread: flushes
+  // schedule it and return, so reads never wait for a deep merge, and each
+  // pass re-persists the manifest. Drive deterministically with
+  // ScheduleCompaction()/WaitForCompaction().
   bool background_compaction = false;
 
   // --- read path (§5.5.1; ignored for P1, which always uses an in-enclave

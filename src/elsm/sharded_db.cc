@@ -144,7 +144,9 @@ Result<std::unique_ptr<ShardedDb>> ShardedDb::Create(const Options& base,
 
 Status ShardedDb::OpenShards() {
   bool found = false;
-  Status s = VerifySuperManifest(&found);
+  std::vector<crypto::Hash256> digests(num_shards_, crypto::kZeroHash);
+  std::vector<uint64_t> floors(num_shards_, 0);
+  Status s = VerifySuperManifest(&found, &digests, &floors);
   if (!s.ok()) return s;
   if (!found) {
     // No super-manifest (and, checked by the log, no meta counter bump):
@@ -176,8 +178,9 @@ Status ShardedDb::OpenShards() {
     shards_.push_back(std::move(db).value());
   }
   // Record the post-recovery shard digests (also seals the shard count the
-  // first time through).
-  return PersistSuperManifest();
+  // first time through). Opening a shard writes no byte of its log, so the
+  // states verification read are the ones to record.
+  return PersistSuperManifest(std::move(digests), std::move(floors));
 }
 
 Status ShardedDb::ShardManifestState(uint32_t shard, crypto::Hash256* digest,
@@ -212,7 +215,9 @@ Status ShardedDb::ShardManifestState(uint32_t shard, crypto::Hash256* digest,
   return Status::Ok();
 }
 
-Status ShardedDb::VerifySuperManifest(bool* found) {
+Status ShardedDb::VerifySuperManifest(bool* found,
+                                      std::vector<crypto::Hash256>* digests,
+                                      std::vector<uint64_t>* last_ts) {
   manifest::ManifestLog::Replay replay;
   Status s = super_log_->Recover(&replay);
   *found = replay.found;
@@ -264,8 +269,8 @@ Status ShardedDb::VerifySuperManifest(bool* found) {
           " had sealed state but its manifest vanished from the untrusted "
           "disk");
     }
-    crypto::Hash256 current;
-    uint64_t current_last_ts = 0;
+    crypto::Hash256& current = (*digests)[i];
+    uint64_t& current_last_ts = (*last_ts)[i];
     s = ShardManifestState(i, &current, &current_last_ts);
     if (!s.ok()) return s;
     if (current == table[i]) continue;  // exact content the super sealed
@@ -287,16 +292,19 @@ Status ShardedDb::VerifySuperManifest(bool* found) {
   return Status::Ok();
 }
 
-Status ShardedDb::PersistSuperManifest() {
+Status ShardedDb::PersistSuperManifest(std::vector<crypto::Hash256> digests,
+                                       std::vector<uint64_t> floors) {
   // Snapshot every shard's current manifest-log state; the diff against
   // the table the durable log already encodes decides what (if anything)
   // the next record must carry.
-  std::vector<crypto::Hash256> digests(num_shards_);
-  std::vector<uint64_t> floors(num_shards_);
+  digests.resize(num_shards_, crypto::kZeroHash);
+  floors.resize(num_shards_, 0);
   std::vector<uint32_t> changed;
   for (uint32_t i = 0; i < num_shards_; ++i) {
-    Status s = ShardManifestState(i, &digests[i], &floors[i]);
-    if (!s.ok()) return s;
+    if (digests[i] == crypto::kZeroHash) {
+      Status s = ShardManifestState(i, &digests[i], &floors[i]);
+      if (!s.ok()) return s;
+    }
     if (digests[i] != recorded_digests_[i] ||
         floors[i] != recorded_last_ts_[i]) {
       changed.push_back(i);

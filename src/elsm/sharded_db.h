@@ -5,8 +5,9 @@
 // of serializing on one facade lock).
 //
 // Each shard is a full ElsmDb: its own Fs namespace (untrusted disk),
-// WAL, sealed manifest, trusted monotonic counter, enclave instance and —
-// when Options::background_compaction is set — its own compaction thread.
+// WAL, sealed manifest, trusted monotonic counter, enclave instance and
+// background jobs (its own flush and compaction threads when
+// Options::async_flush / background_compaction are set).
 // Keys route by a stable 64-bit FNV-1a hash; SCAN fans out per-shard
 // verified range scans (each proof checked against that shard's trusted
 // digests inside ElsmDb) and k-way merges the already-verified results
@@ -243,9 +244,17 @@ class ShardedDb {
   // Replays the sealed super-manifest log (the meta counter checks live in
   // manifest::ManifestLog) and checks its table against the shard disks:
   // drop, swap, count and rollback-floor. Sets *found=false when no
-  // super-manifest exists (fresh store candidate).
-  Status VerifySuperManifest(bool* found);
-  Status PersistSuperManifest();
+  // super-manifest exists (fresh store candidate). The state it reads of
+  // each shard log it checks lands in (*digests)[i] and (*last_ts)[i]; the
+  // entries of shards it skips stay zero.
+  Status VerifySuperManifest(bool* found,
+                             std::vector<crypto::Hash256>* digests,
+                             std::vector<uint64_t>* last_ts);
+  // Records every shard's current log state (a no-op when the log already
+  // pins it). A non-zero `digests` entry is a state already read with its
+  // `floors` entry, taken as current; the other shards' logs are read here.
+  Status PersistSuperManifest(std::vector<crypto::Hash256> digests = {},
+                              std::vector<uint64_t> floors = {});
   // Digest + last_ts of shard's on-disk manifest log (zero/0 when absent).
   // The digest covers the sealed snapshot file plus its live tail file, so
   // it pins the shard's exact authoritative bytes; the last_ts (taken from

@@ -56,14 +56,9 @@ LsmEngine::LsmEngine(LsmOptions options, std::shared_ptr<sgx::Enclave> enclave,
         enclave_, options_.read_buffer_bytes, options_.buffer_placement,
         options_.read_cache_shards);
   }
-  if (options_.background_compaction) {
-    bg_started_ = true;
-    bg_thread_ = std::thread(&LsmEngine::BackgroundLoop, this);
-  }
 }
 
 LsmEngine::~LsmEngine() {
-  StopBackgroundCompaction();
   enclave_->FreeRegion(memtable_region_);
   enclave_->FreeRegion(metadata_region_);
 }
@@ -1157,7 +1152,7 @@ Status LsmEngine::CompactStep(std::vector<MergeSource> sources,
   LevelBuild build(options_.block_bytes,
                    options_.protect_blocks ? options_.mac_key : "");
   build.level.bloom =
-      BloomFilter(options_.bloom_bits_per_key,
+      BloomFilter(/*bits_per_key=*/10,
                   std::max<uint64_t>(input_entries, 16));  // upper bound
   CompactionSeal seal;
   Status s = StreamCompaction(*base, std::move(sources), depths, to_bottom,
@@ -1321,91 +1316,6 @@ void LsmEngine::PurgeDeadCaches() {
   }
   for (const std::string& name : deleted) {
     if (read_buffer_ != nullptr) read_buffer_->Invalidate(name);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Background compaction.
-// ---------------------------------------------------------------------------
-
-void LsmEngine::ScheduleCompaction() {
-  {
-    std::lock_guard<std::mutex> lock(bg_mu_);
-    // Once stopped (close/teardown) requests are dropped — threaded or
-    // inline alike: compacting after the final manifest would orphan its
-    // files on disk.
-    if (bg_stop_) return;
-    if (bg_started_) {
-      bg_pending_ = true;
-      bg_work_cv_.notify_all();
-      return;
-    }
-  }
-  // No background thread was ever configured: run the pass inline.
-  Status s = MaybeCompact();
-  if (!s.ok()) {
-    std::lock_guard<std::mutex> lock(bg_mu_);
-    if (bg_status_.ok()) bg_status_ = s;
-  }
-}
-
-void LsmEngine::WaitForCompaction() {
-  std::unique_lock<std::mutex> lock(bg_mu_);
-  bg_idle_cv_.wait(lock, [&] { return !bg_pending_ && !bg_running_; });
-}
-
-Status LsmEngine::TakeBackgroundStatus() {
-  std::lock_guard<std::mutex> lock(bg_mu_);
-  Status s = bg_status_;
-  bg_status_ = Status::Ok();
-  return s;
-}
-
-void LsmEngine::SetCompactionCallback(std::function<Status()> callback) {
-  std::lock_guard<std::mutex> lock(bg_mu_);
-  bg_callback_ = std::move(callback);
-}
-
-void LsmEngine::StopBackgroundCompaction() {
-  std::thread to_join;
-  {
-    std::lock_guard<std::mutex> lock(bg_mu_);
-    bg_stop_ = true;
-    if (bg_thread_.joinable()) to_join = std::move(bg_thread_);
-  }
-  bg_work_cv_.notify_all();
-  if (to_join.joinable()) to_join.join();
-}
-
-void LsmEngine::BackgroundLoop() {
-  for (;;) {
-    {
-      std::unique_lock<std::mutex> lock(bg_mu_);
-      bg_work_cv_.wait(lock, [&] { return bg_pending_ || bg_stop_; });
-      if (!bg_pending_ && bg_stop_) return;  // drain before exiting
-      bg_pending_ = false;
-      bg_running_ = true;
-    }
-    Status s = MaybeCompact();
-    std::function<Status()> callback;
-    {
-      std::lock_guard<std::mutex> lock(bg_mu_);
-      if (!s.ok() && bg_status_.ok()) bg_status_ = s;
-      callback = bg_callback_;
-    }
-    // Runs with no engine lock held, so it may take facade locks freely.
-    if (callback != nullptr) {
-      Status cs = callback();
-      if (!cs.ok()) {
-        std::lock_guard<std::mutex> lock(bg_mu_);
-        if (bg_status_.ok()) bg_status_ = cs;
-      }
-    }
-    {
-      std::lock_guard<std::mutex> lock(bg_mu_);
-      bg_running_ = false;
-    }
-    bg_idle_cv_.notify_all();
   }
 }
 

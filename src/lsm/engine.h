@@ -33,8 +33,9 @@
 // compaction mutex, do their merge work without blocking readers, and
 // install the new version with one brief exclusive swap. Compacted-away
 // files are refcounted (FileTracker) and deleted only when the last
-// snapshot using them dies. With `background_compaction` the engine owns a
-// compaction thread; ScheduleCompaction()/WaitForCompaction() drive it.
+// snapshot using them dies. The engine runs no threads: which flush or
+// compaction runs in the background is the facade's choice (ElsmDb runs
+// them as common::BackgroundJobs), as in LevelDB's DBImpl.
 #pragma once
 
 #include <atomic>
@@ -47,7 +48,6 @@
 #include <shared_mutex>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -83,12 +83,8 @@ struct LsmOptions {
   uint32_t level_ratio = 4;
   uint64_t block_bytes = 4096;
   uint64_t file_bytes = 64 << 10;
-  int bloom_bits_per_key = 10;
   bool use_bloom = true;
   bool compaction_enabled = true;
-  // Run ripple compaction on a dedicated engine thread instead of inline;
-  // schedule with ScheduleCompaction(), drain with WaitForCompaction().
-  bool background_compaction = false;
   ReadPathKind read_path = ReadPathKind::kMmap;
   uint64_t read_buffer_bytes = 8 << 20;
   // LRU shards of the read buffer (per-shard mutex + single-flight misses).
@@ -252,7 +248,7 @@ struct EngineStats {
   uint64_t group_commits = 0;
   uint64_t group_commit_records = 0;
   // gets/scans are bumped on the lock-free read path; the compaction
-  // counters on the background thread — all of those must be atomic.
+  // counters on whichever thread compacts — all of those must be atomic.
   std::atomic<uint64_t> gets = 0;
   std::atomic<uint64_t> scans = 0;
   std::atomic<uint64_t> flushes = 0;
@@ -370,28 +366,13 @@ class LsmEngine {
   // True while a sealed memtable is awaiting its flush.
   bool HasImm() const;
   // Merges any level exceeding its capacity into the next one (rippling).
+  // Safe to call from any thread; structural changes serialize internally.
   Status MaybeCompact();
   // Force-merges the whole stack into a single deepest level.
   Status CompactAll();
   // Physically deletes files parked under defer_obsolete_deletion. Call
   // after persisting a manifest that no longer references them.
   void PurgeObsoleteFiles();
-
-  // --- background compaction ----------------------------------------------
-  // Requests a MaybeCompact pass on the engine thread (runs it inline when
-  // background_compaction is off).
-  void ScheduleCompaction();
-  // Blocks until no background pass is pending or running.
-  void WaitForCompaction();
-  // First error a background pass (or its callback) hit since the last
-  // call (Ok if none).
-  Status TakeBackgroundStatus();
-  // Invoked after every background pass, with no engine lock held (the elsm
-  // facade persists the manifest here). A non-OK return is surfaced via
-  // TakeBackgroundStatus().
-  void SetCompactionCallback(std::function<Status()> callback);
-  // Drains pending work and joins the thread. Idempotent.
-  void StopBackgroundCompaction();
 
   // Live level stack. Single-threaded callers only: a concurrent compaction
   // may retire the backing version — concurrent readers must hold the
@@ -592,7 +573,6 @@ class LsmEngine {
                       std::string encoded_edit = std::string());
   void PurgeDeadCaches();
   void UpdatePeakResident(uint64_t resident_bytes);
-  void BackgroundLoop();
 
   void ChargeMetadataAccess(size_t level_pos) const;
   void RefreshMetadataFootprint(const std::vector<LevelMeta>& levels);
@@ -661,20 +641,6 @@ class LsmEngine {
   sgx::RegionId memtable_region_ = 0;
   sgx::RegionId metadata_region_ = 0;
   mutable EngineStats stats_;
-
-  // --- background thread state ---------------------------------------------
-  // bg_thread_ is only touched under bg_mu_ (StopBackgroundCompaction moves
-  // it out before joining), so Schedule/Wait/Stop may race freely.
-  std::thread bg_thread_;
-  std::mutex bg_mu_;
-  std::condition_variable bg_work_cv_;
-  std::condition_variable bg_idle_cv_;
-  std::function<Status()> bg_callback_;
-  Status bg_status_;
-  bool bg_started_ = false;  // a thread was launched at construction
-  bool bg_pending_ = false;
-  bool bg_running_ = false;
-  bool bg_stop_ = false;
 };
 
 }  // namespace elsm::lsm

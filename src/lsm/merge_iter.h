@@ -43,8 +43,8 @@ class RunIterator {
   virtual uint64_t resident_bytes() const = 0;
 };
 
-// A run held fully in memory (the memtable snapshot during a flush, or a
-// materialized run on the buffered legacy path).
+// A run held fully in memory: the memtable run of a flush, or one shard's
+// verified scan result in ShardedDb::Scan's k-way merge.
 class VectorRunIterator : public RunIterator {
  public:
   explicit VectorRunIterator(std::vector<RawEntry> run);

@@ -1,10 +1,17 @@
 // Unit tests for the common substrate: varint/fixed coding (round trips and
-// malformed-input rejection), Status/Result semantics, Rng determinism and
-// histogram accounting.
+// malformed-input rejection), Status/Result semantics, Rng determinism,
+// histogram accounting and the BackgroundJob handshake (coalescing, inline
+// mode, first error, stop rule; run under the tsan preset).
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <future>
 #include <limits>
+#include <stdexcept>
+#include <thread>
 
+#include "common/background_job.h"
 #include "common/coding.h"
 #include "common/histogram.h"
 #include "common/random.h"
@@ -187,6 +194,111 @@ TEST(HistogramTest, SummaryFormatsFields) {
   EXPECT_NE(s.find("count=1"), std::string::npos);
   EXPECT_NE(s.find("mean="), std::string::npos);
   EXPECT_NE(s.find("p99="), std::string::npos);
+}
+
+// A job whose first run blocks until the test releases it.
+struct GatedJob {
+  std::atomic<int> runs{0};
+  std::promise<void> started;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+
+  Status operator()() {
+    if (runs.fetch_add(1) == 0) {
+      started.set_value();
+      released.wait();
+    }
+    return Status::Ok();
+  }
+};
+
+TEST(BackgroundJobTest, RequestsCoalesceIntoOneMoreRun) {
+  GatedJob gated;
+  common::BackgroundJob job([&] { return gated(); }, /*threaded=*/true);
+  job.Schedule();
+  gated.started.get_future().wait();
+  // Run 1 is running: the first request queues run 2, and the rest find it
+  // queued and not yet started.
+  for (int i = 0; i < 5; ++i) job.Schedule();
+  gated.release.set_value();
+  job.WaitIdle();
+  EXPECT_EQ(gated.runs.load(), 2);
+  EXPECT_TRUE(job.TakeStatus().ok());
+}
+
+TEST(BackgroundJobTest, InlineModeRunsOnTheCaller) {
+  int runs = 0;
+  std::thread::id ran_on;
+  common::BackgroundJob job(
+      [&] {
+        ++runs;
+        ran_on = std::this_thread::get_id();
+        return Status::Ok();
+      },
+      /*threaded=*/false);
+  job.Schedule();
+  EXPECT_EQ(runs, 1);
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
+  job.Schedule();  // nothing queued to coalesce into: runs again
+  EXPECT_EQ(runs, 2);
+  job.WaitIdle();
+  job.Stop();
+  job.Schedule();
+  EXPECT_EQ(runs, 2);
+}
+
+TEST(BackgroundJobTest, FirstErrorSurfacesExactlyOnce) {
+  for (bool threaded : {false, true}) {
+    int runs = 0;
+    common::BackgroundJob job(
+        [&]() -> Status {
+          ++runs;
+          if (runs == 1) return Status::IOError("first");
+          if (runs == 2) return Status::Corruption("second");
+          if (runs == 3) return Status::Ok();
+          throw std::runtime_error("boom");
+        },
+        threaded);
+    job.Schedule();
+    job.WaitIdle();
+    job.Schedule();
+    job.WaitIdle();
+    Status s = job.TakeStatus();
+    EXPECT_EQ(s.code(), StatusCode::kIOError) << "threaded=" << threaded;
+    EXPECT_EQ(s.message(), "first");
+    EXPECT_TRUE(job.TakeStatus().ok()) << "threaded=" << threaded;
+    job.Schedule();
+    job.WaitIdle();
+    EXPECT_TRUE(job.TakeStatus().ok()) << "threaded=" << threaded;
+    // A job that throws fails its run instead of hanging WaitIdle.
+    job.Schedule();
+    job.WaitIdle();
+    s = job.TakeStatus();
+    EXPECT_EQ(s.code(), StatusCode::kIOError) << "threaded=" << threaded;
+    EXPECT_NE(s.message().find("boom"), std::string::npos) << s.ToString();
+  }
+}
+
+TEST(BackgroundJobTest, StopRunsWhatWasRequestedAndDropsLaterRequests) {
+  GatedJob gated;
+  common::BackgroundJob job([&] { return gated(); }, /*threaded=*/true);
+  job.Schedule();
+  gated.started.get_future().wait();
+  job.Schedule();  // queued behind the running run 1
+  // Release run 1 only once Stop() is (almost certainly) waiting: the
+  // request made before Stop must still run.
+  std::thread releaser([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    gated.release.set_value();
+  });
+  job.Stop();
+  EXPECT_EQ(gated.runs.load(), 2);
+  releaser.join();
+  job.Schedule();  // made after Stop: dropped
+  job.WaitIdle();
+  job.Stop();      // idempotent
+  EXPECT_EQ(gated.runs.load(), 2);
+  EXPECT_TRUE(job.TakeStatus().ok());
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <string>
 
 #include "elsm/elsm_db.h"
+#include "storage/fault_fs.h"
 #include "storage/simfs.h"
 #include "str_cat.h"
 
@@ -266,6 +267,47 @@ TEST(ElsmDbCompaction, CompactionDisabledStacksRuns) {
   auto got = db.value()->Get(Key(3));
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   EXPECT_EQ(*got.value(), Value(3, 3));
+}
+
+TEST(ElsmDbCompaction, InlineScheduledRippleReportsItsErrorOnce) {
+  // With background_compaction off, ScheduleCompaction() runs the ripple
+  // on the caller, and a failed pass surfaces once via WaitForCompaction().
+  Options o = SmallOptions(Mode::kP2);
+  auto platform = std::make_shared<TrustedPlatform>();
+  auto fs = std::make_shared<storage::FaultFs>(
+      std::make_shared<sgx::Enclave>(o.cost_model, true));
+  {
+    auto db = ElsmDb::Open(o, fs, platform);
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    for (int i = 0; i < 600; ++i) {
+      ASSERT_TRUE(db.value()->Put(Key(i), Value(i)).ok());
+    }
+    ASSERT_TRUE(db.value()->CompactAll().ok());
+    ASSERT_TRUE(db.value()->Close().ok());
+  }
+  Options small = o;
+  small.level1_bytes = 1 << 10;  // a cascade of merges is now pending
+  auto db = ElsmDb::Open(small, fs, platform);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  const size_t depth = db.value()->engine().levels().size();
+
+  fs->CrashNow();
+  db.value()->ScheduleCompaction();
+  const Status failed = db.value()->WaitForCompaction();
+  EXPECT_FALSE(failed.ok());
+  EXPECT_TRUE(db.value()->WaitForCompaction().ok()) << "reported twice";
+
+  fs->ClearCrash();
+  db.value()->ScheduleCompaction();
+  EXPECT_GT(db.value()->engine().levels().size(), depth)
+      << "the ripple did not run before ScheduleCompaction returned";
+  EXPECT_TRUE(db.value()->WaitForCompaction().ok());
+  for (int i = 0; i < 600; i += 37) {
+    auto got = db.value()->GetVerified(Key(i));
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    ASSERT_TRUE(got.value().record.has_value()) << Key(i);
+    EXPECT_EQ(got.value().record->value, Value(i));
+  }
 }
 
 TEST(ElsmDbModes, EmbeddedFullPathsVerifyIdentically) {

@@ -18,7 +18,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
+#include <future>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -499,6 +501,93 @@ TEST_P(GroupCommitBackendTest, AsyncFlushKeepsWritersOffTheFlushPath) {
           << "lost across async-flush recovery: " << Key(t, i);
       EXPECT_EQ(got.value().record->value, Value(t, i));
     }
+  }
+  ASSERT_TRUE(again.value()->Close().ok());
+}
+
+// A SimFs whose next SSTable write, once armed, blocks until Release().
+class GatedSstFs : public storage::SimFs {
+ public:
+  using storage::SimFs::SimFs;
+
+  void Arm() { armed_ = true; }
+  // True once the armed write is blocked (false after `timeout`).
+  bool WaitBlocked(std::chrono::seconds timeout) {
+    return blocked_.wait_for(timeout) == std::future_status::ready;
+  }
+  void Release() {
+    if (!released_.exchange(true)) release_.set_value();
+  }
+
+  Status Write(const std::string& name, std::string contents) override {
+    if (name.ends_with(".sst") && armed_.exchange(false)) {
+      entered_.set_value();
+      gate_.wait();
+    }
+    return storage::SimFs::Write(name, std::move(contents));
+  }
+
+ private:
+  std::atomic<bool> armed_{false};
+  std::atomic<bool> released_{false};
+  std::promise<void> entered_;
+  std::future<void> blocked_ = entered_.get_future();
+  std::promise<void> release_;
+  std::shared_future<void> gate_ = release_.get_future().share();
+};
+
+// Releases the gate on every exit path, so a failed assertion cannot leave
+// the store's Close() waiting on a blocked flush.
+struct ReleaseOnExit {
+  GatedSstFs& fs;
+  ~ReleaseOnExit() { fs.Release(); }
+};
+
+TEST(GroupCommitTest, AsyncFlushRequestedBeforeCloseLandsInLevels) {
+  Options o = SmallOptions();
+  o.async_flush = true;
+  o.max_wal_bytes = 1 << 20;  // no forced synchronous flush
+  auto platform = std::make_shared<TrustedPlatform>();
+  auto fs = std::make_shared<GatedSstFs>(MakeEnclave());
+  auto db = ElsmDb::Open(o, fs, platform);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  ReleaseOnExit unblock{*fs};
+
+  // Flush 1: the write that fills the memtable schedules it, and it seals
+  // the memtable and blocks writing its SSTable.
+  lsm::LsmEngine& engine = db.value()->engine();
+  fs->Arm();
+  int written = 0;
+  while (engine.memtable_bytes() < o.memtable_bytes && !engine.HasImm()) {
+    ASSERT_TRUE(db.value()->Put(Key(0, written), Value(0, written)).ok());
+    ++written;
+  }
+  ASSERT_TRUE(fs->WaitBlocked(std::chrono::seconds(60)));
+  // Flush 2: the fresh memtable fills while flush 1 is stuck, so its
+  // request waits in the queue.
+  while (engine.memtable_bytes() < o.memtable_bytes) {
+    ASSERT_TRUE(db.value()->Put(Key(0, written), Value(0, written)).ok());
+    ++written;
+  }
+
+  // Close while flush 2 is still queued; flush 1 resumes once Close has
+  // (almost certainly) begun. The stop rule runs flush 2 before the final
+  // manifest, so the second memtable reaches the level stack.
+  std::thread closer([&] { EXPECT_TRUE(db.value()->Close().ok()); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  fs->Release();
+  closer.join();
+  db.value().reset();
+
+  auto again = ElsmDb::Open(o, fs, platform);
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_EQ(again.value()->engine().memtable_entries(), 0u)
+      << "the queued flush was left in the WAL";
+  for (int i = 0; i < written; ++i) {
+    auto got = again.value()->GetVerified(Key(0, i));
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    ASSERT_TRUE(got.value().record.has_value()) << Key(0, i);
+    EXPECT_EQ(got.value().record->value, Value(0, i));
   }
   ASSERT_TRUE(again.value()->Close().ok());
 }

@@ -43,6 +43,8 @@ enum Variant : uint32_t {
   kNoMultiGetBatching = 1u << 2,
   kEmbedFullPaths = 1u << 3,
   kUnauthenticated = 1u << 4,
+  kNoScanReadahead = 1u << 5,
+  kEncrypted = 1u << 6,  // encrypted values + order-preserving keys
 };
 
 struct ModelCase {
@@ -58,6 +60,9 @@ Options CaseOptions(const ModelCase& c) {
   o.multiget_batching = (c.variants & kNoMultiGetBatching) == 0;
   o.embed_full_paths = (c.variants & kEmbedFullPaths) != 0;
   o.authenticate_data = (c.variants & kUnauthenticated) == 0;
+  if (c.variants & kNoScanReadahead) o.scan_readahead_blocks = 0;
+  o.encrypt_values = (c.variants & kEncrypted) != 0;
+  o.order_preserving_keys = (c.variants & kEncrypted) != 0;
   return o;
 }
 
@@ -70,6 +75,8 @@ std::string CaseName(const ModelCase& c) {
   if (c.variants & kNoMultiGetBatching) name += "NoBatching";
   if (c.variants & kEmbedFullPaths) name += "EmbedPaths";
   if (c.variants & kUnauthenticated) name += "Unauthenticated";
+  if (c.variants & kNoScanReadahead) name += "NoReadahead";
+  if (c.variants & kEncrypted) name += "Encrypted";
   return test_util::Cat(name, "Seed", c.seed);
 }
 
@@ -195,7 +202,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 // The same model check across the options that select between code paths.
 // Odd seeds use the buffer read path (see FuzzOptions), where MultiGet
-// batching and verified block admission apply.
+// batching, scan readahead and verified block admission apply.
 INSTANTIATE_TEST_SUITE_P(
     OptionMatrix, RandomOpsTest,
     ::testing::Values(
@@ -208,7 +215,13 @@ INSTANTIATE_TEST_SUITE_P(
         ModelCase{Mode::kP2, kUnauthenticated, 19},
         ModelCase{Mode::kP2, kUnauthenticated | kAsyncFlush, 20},
         ModelCase{Mode::kP1, kAsyncFlush, 21},
-        ModelCase{Mode::kUnsecured, kBackgroundCompaction, 23}),
+        ModelCase{Mode::kUnsecured, kBackgroundCompaction, 23},
+        ModelCase{Mode::kP2, kNoScanReadahead, 25},
+        ModelCase{Mode::kP2, kEncrypted, 26},
+        ModelCase{Mode::kP1, kEncrypted, 27},
+        // Both background jobs at once outside P2.
+        ModelCase{Mode::kP1, kAsyncFlush | kBackgroundCompaction, 29},
+        ModelCase{Mode::kUnsecured, kAsyncFlush | kBackgroundCompaction, 31}),
     [](const auto& info) { return CaseName(info.param); });
 
 TEST(ProtocolInvariants, EarlyStopOmitsDeeperLevels) {
