@@ -97,8 +97,9 @@ struct Options {
   lsm::ReadPathKind read_path = lsm::ReadPathKind::kMmap;
   uint64_t read_buffer_bytes = 8 << 20;
   // LRU shards of the read buffer (per-shard mutex, single-flight misses;
-  // entries are keyed by the block digest sealed in the snapshot, so a hit
-  // is already verified).
+  // entries are keyed by (file, offset), and P1 and authenticated P2 admit
+  // a block only after it matches the digest sealed in the snapshot, so a
+  // hit is already verified).
   int read_cache_shards = 8;
   // Merkle proof-path node cache inside the verifier: bounds the number of
   // verified tree nodes kept so hot-key re-verifications skip the path

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/coding.h"
+#include "crypto/sha256.h"
 
 namespace elsm::lsm {
 namespace {
@@ -325,26 +326,65 @@ Result<GetResponse> LsmEngine::Get(std::string_view key, uint64_t ts_max) {
   return std::move(items[0].response);
 }
 
-std::string LsmEngine::BlockKey(const FileMeta& file,
-                                const BlockHandle& block) {
-  return file.name + '#' + std::to_string(block.offset);
+Status LsmEngine::CheckBlock(const FileMeta& file, const BlockHandle& block,
+                             std::string_view bytes, bool admission) const {
+  if (options_.protect_blocks) {
+    enclave_->ChargeCipher(bytes.size());
+  } else if (options_.verify_blocks && admission) {
+    enclave_->ChargeHash(bytes.size());
+  } else {
+    return Status::Ok();
+  }
+  if (crypto::Sha256::Digest(bytes) != block.digest) {
+    return Status::AuthFailure("block digest mismatch: " + file.name);
+  }
+  return Status::Ok();
 }
 
-Status LsmEngine::CheckBlock(const BlockHandle& block,
-                             std::string_view bytes) const {
-  if (!options_.protect_blocks) return Status::Ok();
-  enclave_->ChargeCipher(bytes.size());
-  return VerifyBlockMac(bytes, options_.mac_key, block.mac);
+std::vector<Result<std::shared_ptr<const std::string>>>
+LsmEngine::FetchBlocks(std::span<const BlockRef> blocks, bool batched) const {
+  std::vector<storage::ReadBuffer::BlockRequest> requests;
+  requests.reserve(blocks.size());
+  for (const auto& [file, block] : blocks) {
+    requests.push_back({file->name, block->offset});
+  }
+  auto load = [this, blocks, batched](const std::vector<size_t>& indices,
+                                      std::vector<Result<std::string>>& out) {
+    std::vector<storage::ReadRequest> io;
+    io.reserve(indices.size());
+    for (size_t i : indices) {
+      io.push_back(storage::ReadRequest{blocks[i].first->name,
+                                        blocks[i].second->offset,
+                                        blocks[i].second->size});
+    }
+    std::vector<Result<std::string>> got;
+    if (batched) {
+      got = fs_->MultiRead(io);
+    } else {
+      for (const storage::ReadRequest& r : io) {
+        got.push_back(fs_->Read(r.name, r.offset, r.len));
+      }
+    }
+    for (size_t k = 0; k < indices.size(); ++k) {
+      const auto& [file, block] = blocks[indices[k]];
+      if (got[k].ok()) {
+        Status s = CheckBlock(*file, *block, got[k].value(), true);
+        if (!s.ok()) got[k] = s;
+      }
+      out[indices[k]] = std::move(got[k]);
+    }
+  };
+  return read_buffer_->GetBatch(requests, load);
 }
 
 Result<std::shared_ptr<const std::string>> LsmEngine::ReadBlock(
     const FileMeta& file, const BlockHandle& block,
     const PrefetchedBlocks* prefetched) const {
   if (prefetched != nullptr) {
-    auto it = prefetched->find(BlockKey(file, block));
+    auto it = prefetched->find(storage::BlockKey(file.name, block.offset));
     if (it != prefetched->end()) {
       // The batch already paid this block's canonical charges (hit, or
-      // ocall + load + verify + install) and a stored failure must replay
+      // ocall + load + check + install) and a stored failure must replay
       // as-is — a fresh load here would diverge from the batched I/O the
       // fault model already observed.
       stats_.readahead_hits.fetch_add(1, std::memory_order_relaxed);
@@ -369,25 +409,14 @@ Result<std::shared_ptr<const std::string>> LsmEngine::ReadBlock(
     auto view = region->Read(block.offset, block.size);
     if (!view.ok()) return view.status();
     auto bytes = std::make_shared<const std::string>(view.value());
-    Status s = CheckBlock(block, *bytes);
+    Status s = CheckBlock(file, block, *bytes, /*admission=*/false);
     if (!s.ok()) return s;
     return bytes;
   }
-
-  // Buffer path: the cache holds verified plaintext blocks, so the MAC/
-  // decrypt cost is paid once per miss. The cache is keyed by the block
-  // digest sealed in the snapshot metadata and verifies loaded bytes
-  // against it before admission, so a hit never re-reads or re-hashes.
-  auto loader = [this, &file, &block]() -> Result<std::string> {
-    auto bytes = fs_->Read(file.name, block.offset, block.size);
-    if (!bytes.ok()) return bytes.status();
-    Status s = CheckBlock(block, bytes.value());
-    if (!s.ok()) return s;
-    return bytes;
-  };
-  return read_buffer_->Get(
-      file.name, block.offset,
-      options_.verify_blocks ? block.digest : crypto::kZeroHash, loader);
+  // Buffer path: the buffer holds checked blocks, so a hit neither re-reads
+  // nor re-checks, and the check's cost is paid once per miss.
+  const BlockRef one{&file, &block};
+  return std::move(FetchBlocks({&one, 1}, /*batched=*/false)[0]);
 }
 
 Result<LsmEngine::ParsedBlock> LsmEngine::ReadParsedBlock(
@@ -425,16 +454,15 @@ Result<RawEntry> LsmEngine::LastHead(const FileMeta& file,
   return MaterializeEntry(v[i]);
 }
 
-size_t LsmEngine::ReadBlockBatch(
-    const std::vector<std::pair<const FileMeta*, const BlockHandle*>>& blocks,
-    PrefetchedBlocks* out) const {
+size_t LsmEngine::ReadBlockBatch(const std::vector<BlockRef>& blocks,
+                                 PrefetchedBlocks* out) const {
   if (read_buffer_ == nullptr || blocks.empty()) return 0;
   // Dedup within the batch and against earlier windows: each distinct block
-  // is read, verified, and admitted at most once per operation.
-  std::vector<std::pair<const FileMeta*, const BlockHandle*>> todo;
+  // is read, checked, and admitted at most once per operation.
+  std::vector<BlockRef> todo;
   std::vector<std::string> todo_keys;
   for (const auto& [file, block] : blocks) {
-    std::string key = BlockKey(*file, *block);
+    std::string key = storage::BlockKey(file->name, block->offset);
     if (out->count(key) > 0) continue;
     out->emplace(key, Result<std::shared_ptr<const std::string>>(
                           Status::IOError("prefetch pending")));
@@ -442,55 +470,15 @@ size_t LsmEngine::ReadBlockBatch(
     todo_keys.push_back(std::move(key));
   }
   if (todo.empty()) return 0;
-
-  std::vector<storage::ReadBuffer::BatchRequest> requests;
-  requests.reserve(todo.size());
-  for (const auto& [file, block] : todo) {
-    storage::ReadBuffer::BatchRequest req;
-    req.file = file->name;
-    req.offset = block->offset;
-    req.digest = options_.verify_blocks ? block->digest : crypto::kZeroHash;
-    requests.push_back(std::move(req));
-  }
-  // Post-I/O block check shared by both loaders, identical to ReadBlock's.
-  auto decode = [this](const BlockHandle& block,
-                       Result<std::string> bytes) -> Result<std::string> {
-    if (!bytes.ok()) return bytes;
-    Status s = CheckBlock(block, bytes.value());
-    if (!s.ok()) return s;
-    return bytes;
-  };
-  auto batch_loader = [this, &todo, &decode](
-                          const std::vector<size_t>& leaders,
-                          std::vector<Result<std::string>>& loaded) {
-    std::vector<storage::ReadRequest> io;
-    io.reserve(leaders.size());
-    for (size_t li : leaders) {
-      io.push_back(storage::ReadRequest{todo[li].first->name,
-                                        todo[li].second->offset,
-                                        todo[li].second->size});
-    }
-    auto got = fs_->MultiRead(io);
-    for (size_t k = 0; k < leaders.size(); ++k) {
-      loaded[leaders[k]] = decode(*todo[leaders[k]].second, std::move(got[k]));
-    }
-  };
-  auto single_loader = [this, &todo,
-                        &decode](size_t i) -> Result<std::string> {
-    auto bytes = fs_->Read(todo[i].first->name, todo[i].second->offset,
-                           todo[i].second->size);
-    return decode(*todo[i].second, std::move(bytes));
-  };
-  auto results = read_buffer_->GetBatch(requests, batch_loader, single_loader);
+  auto results = FetchBlocks(todo, /*batched=*/true);
   for (size_t k = 0; k < todo.size(); ++k) {
     out->at(todo_keys[k]) = std::move(results[k]);
   }
   return todo.size();
 }
 
-void LsmEngine::PlanLookupBlocks(
-    const LevelMeta& level, std::string_view key,
-    std::vector<std::pair<const FileMeta*, const BlockHandle*>>* out) const {
+void LsmEngine::PlanLookupBlocks(const LevelMeta& level, std::string_view key,
+                                 std::vector<BlockRef>* out) const {
   // Same locate steps as LookupInLevel: the first block the lookup
   // touches is the key's candidate block, or the boundary-witness blocks
   // (LastHead/FirstHead of the bracketing files) when the key misses every
@@ -588,7 +576,7 @@ std::vector<LsmEngine::MultiGetItem> LsmEngine::MultiGet(
     // consume the results. A lone key reads through ReadBlock directly.
     PrefetchedBlocks prefetched;
     if (batching && consult.size() >= 2) {
-      std::vector<std::pair<const FileMeta*, const BlockHandle*>> plan;
+      std::vector<BlockRef> plan;
       for (size_t i : consult) PlanLookupBlocks(levels[li], keys[i], &plan);
       const size_t fetched = ReadBlockBatch(plan, &prefetched);
       if (fetched > 0) {
@@ -807,10 +795,11 @@ Status LsmEngine::ScanInLevel(const LevelMeta& level, std::string_view k1,
   bool have_prev = false;
   for (size_t f = fi; f < files.size(); ++f) {
     for (size_t b = (f == fi ? bi : 0); b < files[f].blocks.size(); ++b) {
-      if (readahead &&
-          prefetched.count(BlockKey(files[f], files[f].blocks[b])) == 0) {
-        std::vector<std::pair<const FileMeta*, const BlockHandle*>> window;
-        window.emplace_back(&files[f], &files[f].blocks[b]);
+      const BlockHandle& block = files[f].blocks[b];
+      if (readahead && prefetched.count(storage::BlockKey(
+                           files[f].name, block.offset)) == 0) {
+        std::vector<BlockRef> window;
+        window.emplace_back(&files[f], &block);
         size_t wf = f, wb = b + 1;
         while (window.size() < options_.scan_readahead_blocks &&
                wf < files.size()) {
@@ -827,7 +816,7 @@ Status LsmEngine::ScanInLevel(const LevelMeta& level, std::string_view k1,
         stats_.readahead_blocks.fetch_add(ReadBlockBatch(window, &prefetched),
                                           std::memory_order_relaxed);
       }
-      auto parsed = ReadParsedBlock(files[f], files[f].blocks[b],
+      auto parsed = ReadParsedBlock(files[f], block,
                                     readahead ? &prefetched : nullptr);
       if (!parsed.ok()) return parsed.status();
       for (const BlockEntry& e : parsed.value().entries) {
@@ -989,9 +978,8 @@ std::unique_ptr<RunIterator> LsmEngine::MakeSourceIterator(
   };
   auto check = [this](const FileMeta& file, const BlockHandle& block,
                       std::string_view bytes) -> Status {
-    (void)file;
     enclave_->UntrustedRead(bytes.size());
-    return CheckBlock(block, bytes);
+    return CheckBlock(file, block, bytes, /*admission=*/false);
   };
   return std::make_unique<LevelRunIterator>(
       &base.levels()[static_cast<size_t>(source.depth)], std::move(opener),
@@ -1150,7 +1138,7 @@ Status LsmEngine::CompactStep(std::vector<MergeSource> sources,
                        }());
 
   LevelBuild build(options_.block_bytes,
-                   options_.protect_blocks ? options_.mac_key : "");
+                   options_.protect_blocks || options_.verify_blocks);
   build.level.bloom =
       BloomFilter(/*bits_per_key=*/10,
                   std::max<uint64_t>(input_entries, 16));  // upper bound
@@ -1365,9 +1353,10 @@ Status LsmEngine::RestoreManifest(std::string_view manifest) {
     std::lock_guard<std::mutex> lock(mmaps_mu_);
     mmaps_.clear();
   }
-  // The restored stack may reuse file names with different contents; the
-  // digest keying already makes stale hits unreachable, but the bytes are
-  // dead weight — drop them with the mmap handles.
+  // The restored stack may reuse file names with different contents (a
+  // crash can lose files numbered past the restored high-water mark), and
+  // the buffer keys blocks on (file, offset): drop every cached block with
+  // the mmap handles.
   if (read_buffer_ != nullptr) read_buffer_->Clear();
   return Status::Ok();
 }

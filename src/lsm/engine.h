@@ -21,8 +21,11 @@
 //
 // Read paths (§5.5.1): mmap (direct untrusted-memory access) or a
 // user-space ReadBuffer placed outside (P2) or inside (P1) the enclave.
-// With `protect_blocks` (P1) every block carries an HMAC checked on load
-// and the engine charges SDK-style encrypt/decrypt costs.
+// Every block's one integrity tag is the SHA-256 digest sealed in its
+// BlockHandle, and CheckBlock is the one routine that checks it: with
+// `protect_blocks` (P1) on every load, charged as the SDK's one-pass
+// decrypt; with `verify_blocks` (authenticated P2) on every read-buffer
+// admission, charged as a hash.
 //
 // Concurrency (copy-on-write version set): the sealed level stack lives in
 // an immutable Version published behind a shared_ptr. Get/Scan take the
@@ -46,6 +49,7 @@
 #include <mutex>
 #include <optional>
 #include <shared_mutex>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -91,15 +95,15 @@ struct LsmOptions {
   int read_cache_shards = 8;
   storage::BufferPlacement buffer_placement =
       storage::BufferPlacement::kOutsideEnclave;
-  // eLSM-P1 file-granularity protection: per-block HMAC + cipher charges.
+  // eLSM-P1 file-granularity protection: every block load (read buffer,
+  // mmap, compaction input) pays the cipher charge and is checked against
+  // its sealed digest, and every SSTable write pays the cipher charge.
   bool protect_blocks = false;
-  // Verify loaded blocks against the digest sealed in the snapshot metadata
-  // before admitting them to the read buffer (digest-keyed verified cache).
-  // Authenticated P2 turns this on; P1 already authenticates loads via the
-  // block MAC, and the unsecured and unauthenticated baselines carry no
-  // integrity contract at all.
+  // Check a loaded block against its sealed digest before the read buffer
+  // admits it, so a buffer hit is already verified. Authenticated P2 turns
+  // this on; the unsecured and unauthenticated baselines carry no integrity
+  // contract, so their SSTables carry no digests at all.
   bool verify_blocks = false;
-  std::string mac_key = "elsm-p1-file-key";
   // Honor the Fs::Sync durability contract on the write path: fsync the
   // WAL before acknowledging, and SSTables/tree sidecars before they can
   // be referenced by a manifest. No-op on SimFs, real fsyncs on PosixFs.
@@ -445,8 +449,8 @@ class LsmEngine {
     std::string prev_key;
     uint64_t records_out = 0;
 
-    LevelBuild(uint64_t block_bytes, std::string mac_key)
-        : builder(block_bytes, std::move(mac_key)) {}
+    LevelBuild(uint64_t block_bytes, bool digest_blocks)
+        : builder(block_bytes, digest_blocks) {}
   };
   // One merge input: a level position, or the memtable run when depth < 0.
   struct MergeSource {
@@ -457,7 +461,8 @@ class LsmEngine {
   uint64_t LevelCapacity(size_t pos) const;
   std::string NewFileName(const char* suffix);
 
-  // Batch-loaded block results keyed by BlockKey(file, block). MultiGet and
+  using BlockRef = std::pair<const FileMeta*, const BlockHandle*>;
+  // Batch-loaded block results keyed by storage::BlockKey. MultiGet and
   // scan readahead fill one with ReadBlockBatch; the block readers consult
   // it before the cache, so a batched operation reads and charges each
   // block exactly once and a stored error replays deterministically
@@ -465,25 +470,30 @@ class LsmEngine {
   using PrefetchedBlocks =
       std::unordered_map<std::string,
                          Result<std::shared_ptr<const std::string>>>;
-  static std::string BlockKey(const FileMeta& file, const BlockHandle& block);
-  // Batch-loads `blocks` through ReadBuffer::GetBatch backed by one
-  // Fs::MultiRead (buffer read path only), recording every per-block
-  // result — including failures — in *out. Blocks already present are
-  // skipped; returns how many blocks were newly submitted.
-  size_t ReadBlockBatch(
-      const std::vector<std::pair<const FileMeta*, const BlockHandle*>>&
-          blocks,
-      PrefetchedBlocks* out) const;
+  // Batch-loads `blocks` through the read buffer with one Fs::MultiRead
+  // (buffer read path only), recording every per-block result — including
+  // failures — in *out. Blocks already present are skipped; returns how
+  // many blocks were newly submitted.
+  size_t ReadBlockBatch(const std::vector<BlockRef>& blocks,
+                        PrefetchedBlocks* out) const;
   // Appends the block(s) LookupInLevel will read first for `key`: the
   // candidate block, or the boundary-witness blocks when the key misses
   // every file range.
-  void PlanLookupBlocks(
-      const LevelMeta& level, std::string_view key,
-      std::vector<std::pair<const FileMeta*, const BlockHandle*>>* out) const;
+  void PlanLookupBlocks(const LevelMeta& level, std::string_view key,
+                        std::vector<BlockRef>* out) const;
 
-  // Block check shared by every read path: P1 charges the one-pass
-  // AES-GCM decrypt and verifies the block MAC; other modes pass.
-  Status CheckBlock(const BlockHandle& block, std::string_view bytes) const;
+  // The one block check: compares `bytes` with the block's sealed digest.
+  // P1 checks every load and charges the one-pass AES-GCM decrypt;
+  // authenticated P2 checks (and charges the hash of) only a block that is
+  // about to enter the read buffer (`admission`), since the Merkle layer
+  // authenticates every record the other paths serve. Other modes pass.
+  Status CheckBlock(const FileMeta& file, const BlockHandle& block,
+                    std::string_view bytes, bool admission) const;
+  // Looks `blocks` up in the read buffer; the misses are read by the one
+  // loader — one Fs::MultiRead when `batched`, else one Fs::Read each —
+  // which checks every block before the buffer may admit it.
+  std::vector<Result<std::shared_ptr<const std::string>>> FetchBlocks(
+      std::span<const BlockRef> blocks, bool batched) const;
   Result<std::shared_ptr<const std::string>> ReadBlock(
       const FileMeta& file, const BlockHandle& block,
       const PrefetchedBlocks* prefetched = nullptr) const;

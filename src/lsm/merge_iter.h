@@ -67,7 +67,7 @@ class VectorRunIterator : public RunIterator {
 // Streams a sealed level file by file, block by block. The callbacks keep
 // the iterator free of engine state: `opener` maps a file to its byte image
 // (and charges the OCall/mmap), `check` charges the per-block read and
-// verifies the block MAC in protected mode.
+// checks the block against its sealed digest in protected mode (P1).
 class LevelRunIterator : public RunIterator {
  public:
   using FileOpener = std::function<Result<std::shared_ptr<const std::string>>(

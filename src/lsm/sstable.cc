@@ -1,22 +1,19 @@
 #include "lsm/sstable.h"
 
 #include "common/coding.h"
-#include "crypto/hmac.h"
+#include "crypto/sha256.h"
 
 namespace elsm::lsm {
 
-SSTableBuilder::SSTableBuilder(uint64_t block_bytes, std::string mac_key)
+SSTableBuilder::SSTableBuilder(uint64_t block_bytes, bool digest_blocks)
     : block_bytes_(block_bytes == 0 ? 4096 : block_bytes),
-      mac_key_(std::move(mac_key)) {}
+      digest_blocks_(digest_blocks) {}
 
 void SSTableBuilder::FlushBlock() {
   if (block_.empty()) return;
   current_.offset = contents_.size();
   current_.size = block_.size();
-  if (!mac_key_.empty()) {
-    current_.mac = crypto::HmacSha256(mac_key_, block_);
-  }
-  current_.digest = crypto::Sha256::Digest(block_);
+  if (digest_blocks_) current_.digest = crypto::Sha256::Digest(block_);
   contents_ += block_;
   meta_.blocks.push_back(current_);
   block_.clear();
@@ -87,14 +84,6 @@ Result<std::vector<RawEntry>> ParseBlock(std::string_view block) {
   entries.reserve(views.size());
   for (const BlockEntry& v : views) entries.push_back(MaterializeEntry(v));
   return entries;
-}
-
-Status VerifyBlockMac(std::string_view block, std::string_view mac_key,
-                      const crypto::Hash256& expected) {
-  if (!crypto::TagEqual(crypto::HmacSha256(mac_key, block), expected)) {
-    return Status::AuthFailure("sstable block MAC mismatch");
-  }
-  return Status::Ok();
 }
 
 }  // namespace elsm::lsm

@@ -1,7 +1,9 @@
 // SSTable: a sequence of ~4 KiB data blocks. Each entry is a canonical
 // record encoding followed by a length-prefixed embedded-proof blob
 // (paper §5.2: records stored as <k, v ‖ π>). The block index lives in
-// FileMeta (enclave metadata), never in the file, so there is no footer.
+// FileMeta (enclave metadata), never in the file, so there is no footer;
+// so does each block's one integrity tag, its SHA-256 digest, for the
+// stores that check blocks (LsmEngine::CheckBlock).
 //
 // A key group (all versions of one data key) never straddles a block or
 // file boundary — the read path depends on a group's newest record being
@@ -40,9 +42,10 @@ RawEntry MaterializeEntry(const BlockEntry& entry);
 
 class SSTableBuilder {
  public:
-  // When `mac_key` is non-empty each finished block gets an HMAC tag in its
-  // BlockHandle (eLSM-P1 file-granularity protection).
-  SSTableBuilder(uint64_t block_bytes, std::string mac_key = "");
+  // With `digest_blocks` each finished block's SHA-256 goes into its
+  // BlockHandle; otherwise nothing is hashed and the digest stays
+  // kZeroHash (a store that never checks its blocks).
+  explicit SSTableBuilder(uint64_t block_bytes, bool digest_blocks = false);
 
   void Add(const Record& record, std::string_view proof_blob);
   // Returns the file image and fills `meta` (name left empty).
@@ -56,7 +59,7 @@ class SSTableBuilder {
   void FlushBlock();
 
   uint64_t block_bytes_;
-  std::string mac_key_;
+  bool digest_blocks_;
   std::string contents_;
   std::string block_;
   FileMeta meta_;
@@ -72,9 +75,5 @@ Status ParseBlockInto(std::string_view block, size_t reserve,
 
 // Decodes every entry of a block image into owning entries.
 Result<std::vector<RawEntry>> ParseBlock(std::string_view block);
-
-// Recomputes and checks the HMAC for a block image (P1 read path).
-Status VerifyBlockMac(std::string_view block, std::string_view mac_key,
-                      const crypto::Hash256& expected);
 
 }  // namespace elsm::lsm

@@ -52,7 +52,6 @@ std::string LevelMeta::Encode() const {
       PutVarint64(&out, b.size);
       PutVarint32(&out, b.num_entries);
       PutLengthPrefixed(&out, b.first_key);
-      PutHash(&out, b.mac);
       PutHash(&out, b.digest);
     }
   }
@@ -94,7 +93,7 @@ Result<LevelMeta> LevelMeta::Decode(std::string_view* input) {
       std::string_view first_key;
       if (!GetVarint64(input, &b.offset) || !GetVarint64(input, &b.size) ||
           !GetVarint32(input, &b.num_entries) ||
-          !GetLengthPrefixed(input, &first_key) || !GetHash(input, &b.mac) ||
+          !GetLengthPrefixed(input, &first_key) ||
           !GetHash(input, &b.digest)) {
         return Status::Corruption("bad block handle");
       }

@@ -37,11 +37,9 @@ struct BlockHandle {
   uint64_t size = 0;
   uint32_t num_entries = 0;
   std::string first_key;
-  // Per-block MAC (eLSM-P1 file-granularity protection; unused in P2).
-  crypto::Hash256 mac = crypto::kZeroHash;
-  // SHA-256 of the block bytes, sealed into the snapshot metadata at build
-  // time. The read cache keys on it, so a cached hit is already verified
-  // and a rewritten file can never satisfy a stale lookup.
+  // The block's one integrity tag: the SHA-256 of its bytes, sealed into
+  // the snapshot metadata at build time (kZeroHash in a store that never
+  // checks blocks). LsmEngine::CheckBlock compares loads with it.
   crypto::Hash256 digest = crypto::kZeroHash;
 };
 

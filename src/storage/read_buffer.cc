@@ -5,26 +5,12 @@
 namespace elsm::storage {
 namespace {
 
-// Cache key: file "#" offset "#" raw digest bytes. File names never contain
-// '#', so the prefix file "#" uniquely identifies a file's entries.
-std::string CacheKey(const std::string& file, uint64_t offset,
-                     const crypto::Hash256& digest) {
-  std::string key;
-  key.reserve(file.size() + 1 + 20 + 1 + digest.size());
-  key += file;
-  key += '#';
-  key += std::to_string(offset);
-  key += '#';
-  key.append(reinterpret_cast<const char*>(digest.data()), digest.size());
-  return key;
-}
-
-bool KeyMatchesFile(const std::string& key, const std::string& file) {
+bool KeyMatchesFile(const std::string& key, std::string_view file) {
   return key.size() > file.size() + 1 && key[file.size()] == '#' &&
          key.compare(0, file.size(), file) == 0;
 }
 
-uint64_t ShardHash(const std::string& file, uint64_t offset) {
+uint64_t ShardHash(std::string_view file, uint64_t offset) {
   uint64_t h = 0xCBF29CE484222325ull;
   for (char c : file) {
     h ^= static_cast<uint8_t>(c);
@@ -36,6 +22,15 @@ uint64_t ShardHash(const std::string& file, uint64_t offset) {
 }
 
 }  // namespace
+
+std::string BlockKey(std::string_view file, uint64_t offset) {
+  std::string key;
+  key.reserve(file.size() + 1 + 20);
+  key += file;
+  key += '#';
+  key += std::to_string(offset);
+  return key;
+}
 
 ReadBuffer::ReadBuffer(std::shared_ptr<sgx::Enclave> enclave,
                        uint64_t capacity_bytes, BufferPlacement placement,
@@ -65,7 +60,7 @@ ReadBuffer::~ReadBuffer() {
   if (region_ != 0) enclave_->FreeRegion(region_);
 }
 
-ReadBuffer::Shard& ReadBuffer::ShardFor(const std::string& file,
+ReadBuffer::Shard& ReadBuffer::ShardFor(std::string_view file,
                                         uint64_t offset) {
   return *shards_[ShardHash(file, offset) % shards_.size()];
 }
@@ -99,7 +94,7 @@ void ReadBuffer::EvictLocked(Shard& shard, uint64_t need_bytes) {
 }
 
 void ReadBuffer::InstallLocked(Shard& shard, const std::string& key,
-                               std::shared_ptr<const std::string> block) {
+                               Block block) {
   // Overwriting a resident entry must retire its accounting and LRU node
   // first, or bytes_used_ drifts up and a stranded node poisons the list.
   RemoveLocked(shard, key);
@@ -125,75 +120,100 @@ void ReadBuffer::InstallLocked(Shard& shard, const std::string& key,
   shard.entries[key] = std::move(entry);
 }
 
-Result<std::shared_ptr<const std::string>> ReadBuffer::Get(
-    const std::string& file, uint64_t offset,
-    const crypto::Hash256& expected_digest,
-    const std::function<Result<std::string>()>& loader) {
-  const std::string key = CacheKey(file, offset, expected_digest);
-  Shard& shard = ShardFor(file, offset);
-  std::shared_ptr<Flight> flight;
-  {
-    std::unique_lock<std::mutex> lock(shard.mu);
-    for (;;) {
-      auto it = shard.entries.find(key);
-      if (it != shard.entries.end()) {
-        ++shard.stats.hits;
-        shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_it);
-        ChargeHit(it->second);
-        return it->second.block;
-      }
-      auto fit = shard.flights.find(key);
-      if (fit == shard.flights.end()) break;
-      // Duplicate miss: wait for the in-flight leader instead of issuing a
-      // second load for the same bytes.
-      std::shared_ptr<Flight> f = fit->second;
-      f->cv.wait(lock, [&f] { return f->done; });
-      if (!f->status.ok()) return f->status;
-      if (f->block != nullptr) {
-        ++shard.stats.hits;
-        enclave_->Copy(f->block->size(),
-                       placement_ == BufferPlacement::kInsideEnclave);
-        return f->block;
-      }
-      // The leader's flight was superseded; retry from the top.
-    }
-    ++shard.stats.misses;
-    flight = std::make_shared<Flight>();
-    shard.flights[key] = flight;
-  }
-
-  // Leader path, no lock held: the loader reads from the (untrusted-world)
-  // filesystem. The file read is a syscall, so enclave code pays a world
-  // switch wherever the buffer lives.
-  enclave_->ChargeOcall();
-  return FinishFlight(shard, key, file, expected_digest, flight, loader());
+Result<ReadBuffer::Block> ReadBuffer::Get(std::string_view file,
+                                          uint64_t offset,
+                                          const Loader& loader) {
+  const BlockRequest request{file, offset};
+  return std::move(GetBatch({&request, 1}, loader)[0]);
 }
 
-Result<std::shared_ptr<const std::string>> ReadBuffer::FinishFlight(
-    Shard& shard, const std::string& key, const std::string& file,
-    const crypto::Hash256& expected_digest,
+std::vector<Result<ReadBuffer::Block>> ReadBuffer::GetBatch(
+    std::span<const BlockRequest> requests, const Loader& loader) {
+  std::vector<Result<Block>> out(requests.size(),
+                                 Result<Block>(Status::IOError("unset")));
+  struct Pending {
+    size_t index;
+    Shard* shard;
+    std::string key;
+    std::shared_ptr<Flight> flight;
+  };
+  std::vector<Pending> leaders;
+  std::vector<Pending> joined;
+  for (size_t i = 0; i < requests.size(); ++i) {
+    const BlockRequest& req = requests[i];
+    std::string key = BlockKey(req.file, req.offset);
+    Shard& shard = ShardFor(req.file, req.offset);
+    std::lock_guard<std::mutex> lock(shard.mu);
+    auto it = shard.entries.find(key);
+    if (it != shard.entries.end()) {
+      ++shard.stats.hits;
+      shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_it);
+      ChargeHit(it->second);
+      out[i] = it->second.block;
+      continue;
+    }
+    auto fit = shard.flights.find(key);
+    if (fit != shard.flights.end()) {
+      // Someone (possibly an earlier request of this very call) is already
+      // loading these bytes: wait for that load instead of issuing another.
+      joined.push_back(Pending{i, &shard, std::string(), fit->second});
+      continue;
+    }
+    ++shard.stats.misses;
+    auto flight = std::make_shared<Flight>();
+    shard.flights.emplace(key, flight);
+    leaders.push_back(Pending{i, &shard, std::move(key), std::move(flight)});
+  }
+
+  if (!leaders.empty()) {
+    // The file read is a syscall, so enclave code pays one world switch per
+    // missed block wherever the buffer lives.
+    std::vector<size_t> indices;
+    indices.reserve(leaders.size());
+    for (const Pending& l : leaders) {
+      enclave_->ChargeOcall();
+      indices.push_back(l.index);
+    }
+    std::vector<Result<std::string>> loaded(
+        requests.size(), Result<std::string>(Status::IOError("not loaded")));
+    loader(indices, loaded);
+    for (Pending& l : leaders) {
+      out[l.index] =
+          FinishFlight(*l.shard, l.key, l.flight, std::move(loaded[l.index]));
+    }
+  }
+  // Joined flights last: every flight this call leads is finished first, so
+  // two calls that joined each other's loads cannot wait on each other.
+  for (const Pending& j : joined) {
+    std::unique_lock<std::mutex> lock(j.shard->mu);
+    j.flight->cv.wait(lock, [&j] { return j.flight->done; });
+    if (!j.flight->status.ok()) {
+      out[j.index] = j.flight->status;
+      continue;
+    }
+    ++j.shard->stats.hits;
+    enclave_->Copy(j.flight->block->size(),
+                   placement_ == BufferPlacement::kInsideEnclave);
+    out[j.index] = j.flight->block;
+  }
+  return out;
+}
+
+Result<ReadBuffer::Block> ReadBuffer::FinishFlight(
+    Shard& shard, const std::string& key,
     const std::shared_ptr<Flight>& flight, Result<std::string> loaded) {
-  std::shared_ptr<const std::string> block;
-  Status status = loaded.status();
+  Block block;
+  const Status status = loaded.status();
   if (status.ok()) {
     block = std::make_shared<const std::string>(std::move(loaded).value());
-    if (expected_digest != crypto::kZeroHash) {
-      // Verify-before-cache: the block is only admitted when its bytes hash
-      // to the digest sealed in the snapshot metadata (fail closed).
-      enclave_->ChargeHash(block->size());
-      if (crypto::Sha256::Digest(*block) != expected_digest) {
-        status = Status::AuthFailure("block digest mismatch: " + file);
-        block = nullptr;
-      }
-    }
   }
 
   std::unique_lock<std::mutex> lock(shard.mu);
   if (status.ok() && !flight->invalidated) {
     InstallLocked(shard, key, block);
   } else if (status.ok()) {
-    // Invalidated mid-flight (the file was deleted): hand the verified bytes
-    // to callers but do not cache them.
+    // Invalidated mid-flight (the file was deleted): hand the bytes to the
+    // requests that joined this load but do not cache them.
     enclave_->Copy(block->size(),
                    placement_ == BufferPlacement::kInsideEnclave);
   }
@@ -210,71 +230,7 @@ Result<std::shared_ptr<const std::string>> ReadBuffer::FinishFlight(
   return block;
 }
 
-std::vector<Result<std::shared_ptr<const std::string>>> ReadBuffer::GetBatch(
-    const std::vector<BatchRequest>& requests,
-    const BatchLoader& batch_loader, const SingleLoader& single_loader) {
-  using BlockResult = Result<std::shared_ptr<const std::string>>;
-  std::vector<BlockResult> out(requests.size(),
-                               BlockResult(Status::IOError("unset")));
-  struct Leader {
-    size_t index;
-    std::string key;
-    std::shared_ptr<Flight> flight;
-  };
-  std::vector<Leader> leaders;
-  std::vector<size_t> deferred;
-  for (size_t i = 0; i < requests.size(); ++i) {
-    const BatchRequest& req = requests[i];
-    const std::string key = CacheKey(req.file, req.offset, req.digest);
-    Shard& shard = ShardFor(req.file, req.offset);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.entries.find(key);
-    if (it != shard.entries.end()) {
-      ++shard.stats.hits;
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_it);
-      ChargeHit(it->second);
-      out[i] = BlockResult(it->second.block);
-      continue;
-    }
-    if (shard.flights.count(key) > 0) {
-      // Someone (possibly an earlier request of this very batch) is already
-      // loading these bytes; join that flight after the leaders are issued.
-      deferred.push_back(i);
-      continue;
-    }
-    ++shard.stats.misses;
-    auto flight = std::make_shared<Flight>();
-    shard.flights[key] = flight;
-    leaders.push_back(Leader{i, key, std::move(flight)});
-  }
-
-  if (!leaders.empty()) {
-    std::vector<size_t> leader_indices;
-    leader_indices.reserve(leaders.size());
-    for (const Leader& l : leaders) {
-      // One world switch per missed block, exactly as the sequential path.
-      enclave_->ChargeOcall();
-      leader_indices.push_back(l.index);
-    }
-    std::vector<Result<std::string>> loaded(
-        requests.size(), Result<std::string>(Status::IOError("not loaded")));
-    batch_loader(leader_indices, loaded);
-    for (Leader& l : leaders) {
-      const BatchRequest& req = requests[l.index];
-      out[l.index] =
-          FinishFlight(ShardFor(req.file, req.offset), l.key, req.file,
-                       req.digest, l.flight, std::move(loaded[l.index]));
-    }
-  }
-  for (size_t i : deferred) {
-    const BatchRequest& req = requests[i];
-    out[i] = Get(req.file, req.offset, req.digest,
-                 [&single_loader, i] { return single_loader(i); });
-  }
-  return out;
-}
-
-void ReadBuffer::Invalidate(const std::string& file) {
+void ReadBuffer::Invalidate(std::string_view file) {
   for (auto& shard_ptr : shards_) {
     Shard& shard = *shard_ptr;
     std::lock_guard<std::mutex> lock(shard.mu);
@@ -288,8 +244,13 @@ void ReadBuffer::Invalidate(const std::string& file) {
         ++it;
       }
     }
-    for (auto& [key, flight] : shard.flights) {
-      if (KeyMatchesFile(key, file)) flight->invalidated = true;
+    for (auto it = shard.flights.begin(); it != shard.flights.end();) {
+      if (KeyMatchesFile(it->first, file)) {
+        it->second->invalidated = true;
+        it = shard.flights.erase(it);
+      } else {
+        ++it;
+      }
     }
   }
 }
@@ -304,6 +265,7 @@ void ReadBuffer::Clear() {
     shard.bytes_used = 0;
     shard.ring_cursor = shard.ring_base;
     for (auto& [key, flight] : shard.flights) flight->invalidated = true;
+    shard.flights.clear();
   }
 }
 

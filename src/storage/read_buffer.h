@@ -1,4 +1,4 @@
-// User-space read buffer (verified block cache) with sharded LRU eviction.
+// User-space read buffer (block cache) with sharded LRU eviction.
 //
 // This is the structure whose *placement* the paper studies (Fig. 2, 6c, 8):
 //  * placement == kOutsideEnclave — eLSM-P2 / unsecured: hits are plain
@@ -8,17 +8,18 @@
 //    faults once capacity > EPC, the Fig. 2 cliff); misses additionally pay
 //    an OCall (file read is a syscall) and a cross-boundary copy.
 //
-// Entries are keyed by (file, offset, expected digest): a block only enters
-// the cache after its bytes hash to the digest sealed in the snapshot's
-// BlockHandle, so a hit is *already verified* — it skips both the I/O and
-// the re-hash. A loader whose bytes do not match fails closed (AuthFailure)
-// and nothing is cached. Because a rewritten file (compaction name reuse)
-// carries new digests, stale blocks are structurally unreachable even
-// before the purge path invalidates them.
+// Entries are keyed by BlockKey(file, offset). The buffer admits whatever
+// its loader returns: the engine's loader checks each block against the
+// digest sealed in its BlockHandle before returning it
+// (LsmEngine::CheckBlock), so a block enters the cache only once checked
+// and a hit is already verified. The key needs no digest because the
+// engine never writes one file name twice while a buffer lives: file
+// numbers are monotone, a deleted file's blocks are invalidated, and a
+// manifest restore clears the buffer.
 //
 // Concurrency: the cache is sharded (per-shard mutex); the loader never
 // runs under a lock, and duplicate misses on the same key are collapsed
-// into a single flight (one loader call, waiters reuse the result).
+// into a single flight (one load, waiters reuse the result).
 //
 // Cached blocks get stable byte offsets inside the region from a per-shard
 // ring allocator, so the EPC page-table sees a realistic address stream.
@@ -30,17 +31,23 @@
 #include <list>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
-#include "crypto/sha256.h"
 #include "sgxsim/enclave.h"
 
 namespace elsm::storage {
 
 enum class BufferPlacement { kOutsideEnclave, kInsideEnclave };
+
+// "file#offset": the one name of a block, used as the buffer's cache key
+// and by the engine's per-operation prefetch map. File names never contain
+// '#', so the prefix file "#" identifies every block of one file.
+std::string BlockKey(std::string_view file, uint64_t offset);
 
 struct ReadBufferStats {
   uint64_t hits = 0;
@@ -51,6 +58,20 @@ struct ReadBufferStats {
 
 class ReadBuffer {
  public:
+  using Block = std::shared_ptr<const std::string>;
+
+  // One block to fetch.
+  struct BlockRequest {
+    std::string_view file;
+    uint64_t offset = 0;
+  };
+  // loader(indices, out) reads the requests at `indices` (positions in the
+  // GetBatch request list) and fills out[i] for each. It runs with no lock
+  // held, "in the untrusted world": the world switch is charged here, not
+  // in the loader. A block it returns is admitted as is.
+  using Loader = std::function<void(const std::vector<size_t>& indices,
+                                    std::vector<Result<std::string>>& out)>;
+
   ReadBuffer(std::shared_ptr<sgx::Enclave> enclave, uint64_t capacity_bytes,
              BufferPlacement placement, int shards = 1);
   ~ReadBuffer();
@@ -58,50 +79,25 @@ class ReadBuffer {
   ReadBuffer(const ReadBuffer&) = delete;
   ReadBuffer& operator=(const ReadBuffer&) = delete;
 
-  // Returns the cached block for (file, offset, expected_digest), invoking
-  // `loader` on a miss to fetch the bytes (the loader runs "in the
-  // untrusted world"; world-switch charging happens here, not in the
-  // loader). Loaded bytes are hashed inside the enclave and compared to
-  // `expected_digest` before they may enter the cache; a mismatch returns
-  // AuthFailure and caches nothing. A digest of kZeroHash skips the check
-  // (legacy/unsealed blocks) — such entries still key on the zero digest.
-  Result<std::shared_ptr<const std::string>> Get(
-      const std::string& file, uint64_t offset,
-      const crypto::Hash256& expected_digest,
-      const std::function<Result<std::string>()>& loader);
-
-  // One block of a GetBatch: the same (file, offset, digest) key as Get.
-  struct BatchRequest {
-    std::string file;
-    uint64_t offset = 0;
-    crypto::Hash256 digest{};
-  };
-  // batch_loader(leader_indices, out) fills out[i] (parallel to `requests`)
-  // for every index it is given — the engine backs it with one
-  // Fs::MultiRead. single_loader(i) is the sequential reload used by
-  // requests that instead join a load already in flight.
-  using BatchLoader = std::function<void(const std::vector<size_t>&,
-                                         std::vector<Result<std::string>>&)>;
-  using SingleLoader = std::function<Result<std::string>(size_t)>;
-
-  // Batched Get: classifies every request in one pass (cache hit / join an
-  // in-flight load / become a load leader), issues ONE batch_loader call
-  // covering all leaders, then finishes each leader's flight exactly like
-  // Get — per-block verify-before-admit, single-flight collapse, and
-  // digest-keyed admission are all preserved, and every per-block charge
-  // (hit, ocall, hash, copy) matches the sequential path. Results are in
-  // request order with per-request error isolation; duplicate keys within
-  // a batch collapse to one load.
-  std::vector<Result<std::shared_ptr<const std::string>>> GetBatch(
-      const std::vector<BatchRequest>& requests,
-      const BatchLoader& batch_loader, const SingleLoader& single_loader);
+  // The one lookup path. Classifies every request in one pass (cache hit /
+  // join a load already in flight / lead a new load), calls `loader` once
+  // for all the leaders (one ocall charged per leader), installs each
+  // leader's block, then collects the joined flights. Results are in
+  // request order with per-request error isolation; a duplicate key joins
+  // the first request's load.
+  std::vector<Result<Block>> GetBatch(std::span<const BlockRequest> requests,
+                                      const Loader& loader);
+  // A one-request GetBatch.
+  Result<Block> Get(std::string_view file, uint64_t offset,
+                    const Loader& loader);
 
   // Drops every cached block of `file` (called when compaction deletes it)
-  // and marks the file's in-flight loads so their results are returned to
-  // callers but never installed.
-  void Invalidate(const std::string& file);
+  // and detaches the file's loads in flight: their bytes still reach the
+  // requests that joined them but are never installed, and a later request
+  // starts a fresh load.
+  void Invalidate(std::string_view file);
 
-  // Drops everything (manifest restore / reopen).
+  // Drops everything (manifest restore / reopen), detaching every flight.
   void Clear();
 
   // Aggregated over shards, taken under the shard locks (safe to call from
@@ -117,7 +113,7 @@ class ReadBuffer {
 
  private:
   struct Entry {
-    std::shared_ptr<const std::string> block;
+    Block block;
     uint64_t region_offset = 0;
     size_t charged_size = 0;
     std::list<std::string>::iterator lru_it;
@@ -130,12 +126,12 @@ class ReadBuffer {
     bool done = false;
     bool invalidated = false;
     Status status = Status::Ok();
-    std::shared_ptr<const std::string> block;
+    Block block;
   };
 
   struct Shard {
     mutable std::mutex mu;
-    std::unordered_map<std::string, Entry> entries;  // key = file#offset#digest
+    std::unordered_map<std::string, Entry> entries;  // key = BlockKey
     std::unordered_map<std::string, std::shared_ptr<Flight>> flights;
     std::list<std::string> lru;  // front = most recent
     uint64_t bytes_used = 0;
@@ -145,21 +141,18 @@ class ReadBuffer {
     ReadBufferStats stats;
   };
 
-  Shard& ShardFor(const std::string& file, uint64_t offset);
+  Shard& ShardFor(std::string_view file, uint64_t offset);
   void ChargeHit(const Entry& entry) const;
-  // Leader tail shared by Get and GetBatch: verify the loaded bytes, admit
-  // them (unless the flight was invalidated mid-load), publish the flight
-  // result and wake the waiters.
-  Result<std::shared_ptr<const std::string>> FinishFlight(
-      Shard& shard, const std::string& key, const std::string& file,
-      const crypto::Hash256& expected_digest,
-      const std::shared_ptr<Flight>& flight, Result<std::string> loaded);
+  // Leader tail: admit the loaded bytes (unless the flight was invalidated
+  // mid-load), publish the flight result and wake the waiters.
+  Result<Block> FinishFlight(Shard& shard, const std::string& key,
+                             const std::shared_ptr<Flight>& flight,
+                             Result<std::string> loaded);
   // Removes `key` from `shard` if resident, fixing accounting; returns true
   // if an entry was removed.
   static bool RemoveLocked(Shard& shard, const std::string& key);
   void EvictLocked(Shard& shard, uint64_t need_bytes);
-  void InstallLocked(Shard& shard, const std::string& key,
-                     std::shared_ptr<const std::string> block);
+  void InstallLocked(Shard& shard, const std::string& key, Block block);
 
   std::shared_ptr<sgx::Enclave> enclave_;
   uint64_t capacity_;

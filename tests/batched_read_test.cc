@@ -13,7 +13,6 @@
 #include <thread>
 #include <vector>
 
-#include "crypto/sha256.h"
 #include "elsm/elsm_db.h"
 #include "elsm/sharded_db.h"
 #include "storage/fault_fs.h"
@@ -222,70 +221,62 @@ TEST(GetBatchTest, LeadersLoadOnceAndDuplicatesCollapse) {
                              storage::BufferPlacement::kOutsideEnclave, 4);
   const std::string block_a(512, 'a');
   const std::string block_b(512, 'b');
-  const crypto::Hash256 da = crypto::Sha256::Digest(block_a);
-  const crypto::Hash256 db = crypto::Sha256::Digest(block_b);
-  std::atomic<int> batch_calls{0};
-  std::atomic<int> single_calls{0};
-  std::vector<storage::ReadBuffer::BatchRequest> reqs = {
-      {"f", 0, da}, {"f", 512, db}, {"f", 0, da},  // duplicate of slot 0
+  std::atomic<int> loader_calls{0};
+  std::atomic<int> blocks_loaded{0};
+  std::vector<storage::ReadBuffer::BlockRequest> reqs = {
+      {"f", 0}, {"f", 512}, {"f", 0},  // duplicate of slot 0
   };
-  auto batch_loader = [&](const std::vector<size_t>& leaders,
-                          std::vector<Result<std::string>>& out) {
-    ++batch_calls;
-    for (size_t li : leaders) {
-      out[li] = li == 1 ? block_b : block_a;
+  auto loader = [&](const std::vector<size_t>& indices,
+                    std::vector<Result<std::string>>& out) {
+    ++loader_calls;
+    for (size_t i : indices) {
+      ++blocks_loaded;
+      out[i] = i == 1 ? block_b : block_a;
     }
   };
-  auto single_loader = [&](size_t i) -> Result<std::string> {
-    ++single_calls;
-    return i == 1 ? block_b : block_a;
-  };
-  auto got = buffer.GetBatch(reqs, batch_loader, single_loader);
+  auto got = buffer.GetBatch(reqs, loader);
   ASSERT_EQ(got.size(), 3u);
   for (auto& r : got) ASSERT_TRUE(r.ok());
   EXPECT_EQ(*got[0].value(), block_a);
   EXPECT_EQ(*got[1].value(), block_b);
   EXPECT_EQ(*got[2].value(), block_a);
-  // Two distinct keys -> one batch_loader call covering both leaders; the
+  // Two distinct keys -> one loader call covering both leaders; the
   // intra-batch duplicate joined slot 0's flight instead of loading again.
-  EXPECT_EQ(batch_calls.load(), 1);
-  EXPECT_EQ(single_calls.load(), 0);
+  EXPECT_EQ(loader_calls.load(), 1);
+  EXPECT_EQ(blocks_loaded.load(), 2);
   EXPECT_EQ(buffer.stats().misses, 2u);
 
   // Warm repeat: all hits, no loader runs.
-  auto warm = buffer.GetBatch(reqs, batch_loader, single_loader);
+  auto warm = buffer.GetBatch(reqs, loader);
   for (auto& r : warm) ASSERT_TRUE(r.ok());
-  EXPECT_EQ(batch_calls.load(), 1);
+  EXPECT_EQ(loader_calls.load(), 1);
   EXPECT_EQ(buffer.stats().hits, 3u + 1u);  // 3 warm + 1 intra-batch waiter
 }
 
 TEST(GetBatchTest, PerRequestVerifyFailsClosed) {
-  // One tampered block in the batch fails only its own slot (AuthFailure,
-  // nothing cached); the good block is admitted normally.
+  // One block of the batch fails its check in the loader (the engine's
+  // loader returns AuthFailure for a block whose bytes do not match the
+  // sealed digest): only its own slot fails and nothing of it is cached;
+  // the good block is admitted normally.
   auto enclave = MakeEnclave();
   storage::ReadBuffer buffer(enclave, 1 << 20,
                              storage::BufferPlacement::kOutsideEnclave, 4);
   const std::string good(512, 'g');
-  const crypto::Hash256 dg = crypto::Sha256::Digest(good);
-  const crypto::Hash256 dt = crypto::Sha256::Digest(std::string(512, 't'));
-  std::vector<storage::ReadBuffer::BatchRequest> reqs = {
-      {"f", 0, dg}, {"f", 512, dt},
+  std::vector<storage::ReadBuffer::BlockRequest> reqs = {
+      {"f", 0}, {"f", 512},
   };
-  auto batch_loader = [&](const std::vector<size_t>& leaders,
-                          std::vector<Result<std::string>>& out) {
-    for (size_t li : leaders) {
-      // The host returns swapped bytes for the second block.
-      out[li] = li == 0 ? good : std::string(512, 'Z');
+  auto loader = [&](const std::vector<size_t>& indices,
+                    std::vector<Result<std::string>>& out) {
+    for (size_t i : indices) {
+      out[i] = i == 0 ? Result<std::string>(good)
+                      : Status::AuthFailure("block digest mismatch: f");
     }
   };
-  auto single_loader = [&](size_t) -> Result<std::string> {
-    return Status::IOError("unexpected");
-  };
-  auto got = buffer.GetBatch(reqs, batch_loader, single_loader);
+  auto got = buffer.GetBatch(reqs, loader);
   ASSERT_TRUE(got[0].ok());
   ASSERT_FALSE(got[1].ok());
   EXPECT_TRUE(got[1].status().IsAuthFailure());
-  // Only the verified block is resident.
+  // Only the checked block is resident.
   EXPECT_EQ(buffer.bytes_used(), 512u);
 }
 

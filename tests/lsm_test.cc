@@ -200,17 +200,38 @@ TEST(SSTableTest, GroupsNeverStraddleBlocks) {
   }
 }
 
-TEST(SSTableTest, BlockMacDetectsTamper) {
-  SSTableBuilder builder(4096, "mac-key");
-  builder.Add(MakeRecord("a", "v", 1), "");
+TEST(SSTableTest, BlockDigestDetectsTamper) {
+  // Each block's one tag is the SHA-256 of its bytes, computed only when
+  // the builder is asked to (a store that checks its blocks); a flipped
+  // byte no longer matches it.
+  auto build = [](bool digest_blocks, FileMeta* meta) {
+    SSTableBuilder builder(256, digest_blocks);
+    for (int i = 0; i < 40; ++i) {
+      char key[16];
+      std::snprintf(key, sizeof(key), "k%04d", i);
+      builder.Add(MakeRecord(key, "value", uint64_t(i + 1)), "");
+    }
+    return builder.Finish(meta);
+  };
   FileMeta meta;
-  std::string image = builder.Finish(&meta);
-  ASSERT_EQ(meta.blocks.size(), 1u);
-  EXPECT_TRUE(
-      VerifyBlockMac(image, "mac-key", meta.blocks[0].mac).ok());
-  image[3] ^= 1;
-  EXPECT_TRUE(VerifyBlockMac(image, "mac-key", meta.blocks[0].mac)
-                  .IsAuthFailure());
+  std::string image = build(true, &meta);
+  ASSERT_GT(meta.blocks.size(), 1u);
+  for (const BlockHandle& block : meta.blocks) {
+    EXPECT_EQ(block.digest,
+              crypto::Sha256::Digest(
+                  std::string_view(image).substr(block.offset, block.size)));
+  }
+  const BlockHandle& first = meta.blocks[0];
+  image[first.offset + 3] ^= 1;
+  EXPECT_NE(first.digest,
+            crypto::Sha256::Digest(
+                std::string_view(image).substr(first.offset, first.size)));
+
+  FileMeta untagged;
+  EXPECT_EQ(build(false, &untagged), build(true, &meta));
+  for (const BlockHandle& block : untagged.blocks) {
+    EXPECT_EQ(block.digest, crypto::kZeroHash);
+  }
 }
 
 TEST(SSTableTest, ParseRejectsTruncatedBlock) {
@@ -241,7 +262,7 @@ TEST(VersionTest, LevelMetaEncodeDecodeRoundTrip) {
   b.size = 4096;
   b.num_entries = 10;
   b.first_key = "aaa";
-  b.mac = crypto::Sha256::Digest("mac");
+  b.digest = crypto::Sha256::Digest("block");
   f.blocks.push_back(b);
   level.files.push_back(f);
 
@@ -258,7 +279,14 @@ TEST(VersionTest, LevelMetaEncodeDecodeRoundTrip) {
   EXPECT_EQ(out.files[0].name, "db/000007.sst");
   ASSERT_EQ(out.files[0].blocks.size(), 1u);
   EXPECT_EQ(out.files[0].blocks[0].first_key, "aaa");
+  EXPECT_EQ(out.files[0].blocks[0].digest, b.digest);
   EXPECT_TRUE(out.bloom.MayContain("hello"));
+  // One 32-byte tag per block: a second block grows the encoding by its
+  // offset, size and entry count varints, its first key and one digest.
+  const size_t one_block = level.Encode().size();
+  level.files[0].blocks.push_back(b);
+  EXPECT_EQ(level.Encode().size(),
+            one_block + 1 + 2 + 1 + 1 + b.first_key.size() + 32);
 }
 
 TEST(VersionTest, DecodeRejectsGarbage) {

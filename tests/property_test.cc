@@ -16,8 +16,9 @@
 
 #include "common/random.h"
 #include "elsm/elsm_db.h"
-#include "storage/simfs.h"
+#include "storage/fs.h"
 #include "str_cat.h"
+#include "temp_dir.h"
 
 namespace elsm {
 namespace {
@@ -45,6 +46,10 @@ enum Variant : uint32_t {
   kUnauthenticated = 1u << 4,
   kNoScanReadahead = 1u << 5,
   kEncrypted = 1u << 6,  // encrypted values + order-preserving keys
+  // A read buffer a few blocks large, so blocks are evicted and re-admitted
+  // (and re-checked) throughout the run.
+  kSmallReadBuffer = 1u << 7,
+  kPosix = 1u << 8,  // PosixFs under a temporary directory
 };
 
 struct ModelCase {
@@ -63,6 +68,11 @@ Options CaseOptions(const ModelCase& c) {
   if (c.variants & kNoScanReadahead) o.scan_readahead_blocks = 0;
   o.encrypt_values = (c.variants & kEncrypted) != 0;
   o.order_preserving_keys = (c.variants & kEncrypted) != 0;
+  if (c.variants & kSmallReadBuffer) {
+    o.read_buffer_bytes = 4 * o.block_bytes;
+    o.read_cache_shards = 2;
+  }
+  if (c.variants & kPosix) o.backend = storage::BackendKind::kPosix;
   return o;
 }
 
@@ -77,6 +87,8 @@ std::string CaseName(const ModelCase& c) {
   if (c.variants & kUnauthenticated) name += "Unauthenticated";
   if (c.variants & kNoScanReadahead) name += "NoReadahead";
   if (c.variants & kEncrypted) name += "Encrypted";
+  if (c.variants & kSmallReadBuffer) name += "SmallBuffer";
+  if (c.variants & kPosix) name += "Posix";
   return test_util::Cat(name, "Seed", c.seed);
 }
 
@@ -84,17 +96,23 @@ class RandomOpsTest : public ::testing::TestWithParam<ModelCase> {};
 
 TEST_P(RandomOpsTest, MatchesReferenceModel) {
   const ModelCase& param = GetParam();
-  const Options options = CaseOptions(param);
+  test_util::TempDir dir;
+  ASSERT_TRUE(dir.ok());
+  Options options = CaseOptions(param);
+  options.backend_dir = dir.path();
   // Reopens reuse the untrusted disk and the trusted platform, like a
   // power cycle.
   auto platform = std::make_shared<TrustedPlatform>();
-  auto fs = std::make_shared<storage::SimFs>(
+  const std::shared_ptr<storage::Fs> fs = storage::MakeFs(
+      options.backend, options.backend_dir,
       std::make_shared<sgx::Enclave>(options.cost_model, true));
   auto opened = ElsmDb::Open(options, fs, platform);
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
   std::unique_ptr<ElsmDb> db = std::move(opened).value();
   std::map<std::string, std::optional<std::string>> model;
   Rng rng(param.seed);
+  uint64_t evictions = 0;  // summed over every opening of the store
+  const storage::IoStats io_before = storage::GlobalIoStats();
 
   auto key_of = [](uint64_t i) {
     char buf[16];
@@ -179,6 +197,7 @@ TEST_P(RandomOpsTest, MatchesReferenceModel) {
       ASSERT_TRUE(db->WaitForFlush().ok()) << "op=" << op;
       ASSERT_TRUE(db->WaitForCompaction().ok()) << "op=" << op;
       ASSERT_TRUE(db->Close().ok()) << "op=" << op;
+      evictions += db->read_cache_stats().evictions;
       db.reset();
       auto reopened = ElsmDb::Open(options, fs, platform);
       ASSERT_TRUE(reopened.ok())
@@ -188,6 +207,14 @@ TEST_P(RandomOpsTest, MatchesReferenceModel) {
   }
   EXPECT_TRUE(db->WaitForFlush().ok());
   EXPECT_TRUE(db->WaitForCompaction().ok());
+  if (param.variants & kSmallReadBuffer) {
+    EXPECT_GT(evictions + db->read_cache_stats().evictions, 0u);
+  }
+  if (param.variants & kPosix) {
+    const storage::IoStats io = storage::GlobalIoStats();
+    EXPECT_GT(io.pread_batches + io.uring_batches,
+              io_before.pread_batches + io_before.uring_batches);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -221,7 +248,14 @@ INSTANTIATE_TEST_SUITE_P(
         ModelCase{Mode::kP1, kEncrypted, 27},
         // Both background jobs at once outside P2.
         ModelCase{Mode::kP1, kAsyncFlush | kBackgroundCompaction, 29},
-        ModelCase{Mode::kUnsecured, kAsyncFlush | kBackgroundCompaction, 31}),
+        ModelCase{Mode::kUnsecured, kAsyncFlush | kBackgroundCompaction, 31},
+        // A read buffer a few blocks large churns evictions, re-admissions
+        // and invalidations on the checked path (P1 always reads through
+        // its buffer).
+        ModelCase{Mode::kP2, kSmallReadBuffer, 33},
+        ModelCase{Mode::kP1, kSmallReadBuffer, 34},
+        // MultiGet and readahead batches into PosixFs's native MultiRead.
+        ModelCase{Mode::kP2, kPosix, 35}),
     [](const auto& info) { return CaseName(info.param); });
 
 TEST(ProtocolInvariants, EarlyStopOmitsDeeperLevels) {

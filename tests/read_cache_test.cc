@@ -1,12 +1,15 @@
-// Verified read-cache layer tests: digest-keyed sharded ReadBuffer
-// (accounting, fail-closed admission, single-flight, invalidation racing
-// readers), proof-path node caching in the verifier, cache lifecycle across
-// compaction's obsolete-file purge, and warm-hit enclave-counter budgets.
+// Verified read-cache layer tests: the (file, offset)-keyed sharded
+// ReadBuffer (accounting, single-flight, invalidation racing readers and
+// batches), the engine's check-before-admit (a tampered block fails closed
+// and is never cached; which stores tag their blocks), proof-path node
+// caching in the verifier, cache lifecycle across compaction's
+// obsolete-file purge, and warm-hit enclave-counter budgets.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <deque>
+#include <future>
 #include <map>
 #include <random>
 #include <thread>
@@ -18,6 +21,7 @@
 #include "elsm/elsm_db.h"
 #include "storage/read_buffer.h"
 #include "storage/simfs.h"
+#include "block_loader.h"
 #include "str_cat.h"
 
 namespace elsm {
@@ -25,6 +29,7 @@ namespace {
 
 using storage::BufferPlacement;
 using storage::ReadBuffer;
+using test_util::EachBlock;
 
 std::shared_ptr<sgx::Enclave> MakeEnclave() {
   return std::make_shared<sgx::Enclave>(sgx::CostModel{}, true);
@@ -48,60 +53,7 @@ Options BufferOptions() {
   return o;
 }
 
-// --- unit: digest keying and fail-closed admission -------------------------
-
-TEST(ReadCacheTest, DigestMismatchFailsClosedAndCachesNothing) {
-  auto enclave = MakeEnclave();
-  ReadBuffer buffer(enclave, 64 << 10, BufferPlacement::kOutsideEnclave, 4);
-  const std::string good(512, 'a');
-  const crypto::Hash256 digest = crypto::Sha256::Digest(good);
-  int loads = 0;
-  auto bad_loader = [&]() -> Result<std::string> {
-    ++loads;
-    return std::string(512, 'z');  // host swapped the block contents
-  };
-  auto miss = buffer.Get("f", 0, digest, bad_loader);
-  ASSERT_FALSE(miss.ok());
-  EXPECT_TRUE(miss.status().IsAuthFailure());
-  EXPECT_EQ(buffer.bytes_used(), 0u);
-
-  auto good_loader = [&]() -> Result<std::string> {
-    ++loads;
-    return good;
-  };
-  auto hit = buffer.Get("f", 0, digest, good_loader);
-  ASSERT_TRUE(hit.ok());
-  EXPECT_EQ(*hit.value(), good);
-  EXPECT_EQ(loads, 2);
-  // Warm: no loader call, contents already verified.
-  ASSERT_TRUE(buffer.Get("f", 0, digest, bad_loader).ok());
-  EXPECT_EQ(loads, 2);
-}
-
-TEST(ReadCacheTest, StaleDigestCannotServeRewrittenFile) {
-  // Compaction name reuse in miniature: the same (file, offset) changes
-  // contents. The old digest key must never return the new bytes, and the
-  // new digest key must never return the cached old bytes.
-  auto enclave = MakeEnclave();
-  ReadBuffer buffer(enclave, 64 << 10, BufferPlacement::kOutsideEnclave, 4);
-  std::string disk(1024, '1');  // simulated file contents
-  const crypto::Hash256 gen1 = crypto::Sha256::Digest(disk);
-  auto loader = [&]() -> Result<std::string> { return disk; };
-  ASSERT_TRUE(buffer.Get("f", 0, gen1, loader).ok());
-
-  disk.assign(1024, '2');  // file rewritten in place under the same name
-  const crypto::Hash256 gen2 = crypto::Sha256::Digest(disk);
-  auto fresh = buffer.Get("f", 0, gen2, loader);
-  ASSERT_TRUE(fresh.ok());
-  EXPECT_EQ(*fresh.value(), disk);  // re-read, not the stale cached block
-
-  // A reader still presenting the old digest after the rewrite fails
-  // closed instead of being served the wrong generation.
-  buffer.Invalidate("f");
-  auto stale = buffer.Get("f", 0, gen1, loader);
-  ASSERT_FALSE(stale.ok());
-  EXPECT_TRUE(stale.status().IsAuthFailure());
-}
+// --- unit: accounting and eviction ---------------------------------------
 
 TEST(ReadCacheTest, OverwriteAccountingStaysExact) {
   auto enclave = MakeEnclave();
@@ -111,7 +63,7 @@ TEST(ReadCacheTest, OverwriteAccountingStaysExact) {
   };
   for (int i = 0; i < 16; ++i) {
     ASSERT_TRUE(
-        buffer.Get("f", i * 64, crypto::kZeroHash, loader_of(700 + i)).ok());
+        buffer.Get("f", i * 64, EachBlock(loader_of(700 + i))).ok());
   }
   EXPECT_EQ(buffer.bytes_used(), buffer.ResidentBytes());
   buffer.Invalidate("f");
@@ -127,11 +79,104 @@ TEST(ReadCacheTest, ShardedEvictionRespectsCapacity) {
     return std::string(2048, 'e');
   };
   for (int i = 0; i < 64; ++i) {
-    ASSERT_TRUE(buffer.Get("f", i * 4096, crypto::kZeroHash, loader).ok());
+    ASSERT_TRUE(buffer.Get("f", i * 4096, EachBlock(loader)).ok());
   }
   EXPECT_GT(buffer.stats().evictions, 0u);
   EXPECT_LE(buffer.bytes_used(), 16u << 10);
   EXPECT_EQ(buffer.bytes_used(), buffer.ResidentBytes());
+}
+
+// --- engine: one block tag, checked before admission -----------------------
+
+// Flips one bit in the middle of every block of every SSTable on `fs`.
+void FlipEveryBlock(ElsmDb& store, storage::SimFs& fs) {
+  for (const auto& level : store.engine().levels()) {
+    for (const auto& file : level.files) {
+      auto blob = fs.MutableBlob(file.name);
+      ASSERT_NE(blob, nullptr);
+      for (const auto& block : file.blocks) {
+        (*blob)[block.offset + block.size / 2] ^= 0x01;
+      }
+    }
+  }
+}
+
+TEST(ReadCacheTest, DigestMismatchFailsClosedAndCachesNothing) {
+  // A block flipped on disk before its first read fails that read at the
+  // engine's block check with AuthFailure, is never admitted to the read
+  // buffer, and fails again on the next read, which loads it afresh.
+  for (Mode mode : {Mode::kP1, Mode::kP2}) {
+    SCOPED_TRACE(mode == Mode::kP1 ? "P1" : "P2");
+    Options o = BufferOptions();
+    o.mode = mode;
+    auto fs = std::make_shared<storage::SimFs>(
+        std::make_shared<sgx::Enclave>(o.cost_model, true));
+    auto db = ElsmDb::Open(o, fs, std::make_shared<TrustedPlatform>());
+    ASSERT_TRUE(db.ok());
+    auto& store = *db.value();
+    for (int i = 0; i < 200; ++i) {
+      ASSERT_TRUE(store.Put(Key(i), test_util::Cat("value-", i)).ok());
+    }
+    ASSERT_TRUE(store.CompactAll().ok());
+    store.ClearReadCache();
+    FlipEveryBlock(store, *fs);
+
+    uint64_t misses = store.read_cache_stats().misses;
+    for (int attempt = 0; attempt < 2; ++attempt) {
+      auto got = store.engine().Get(Key(77), kLatest);
+      ASSERT_FALSE(got.ok()) << "attempt " << attempt;
+      EXPECT_TRUE(got.status().IsAuthFailure()) << got.status().ToString();
+      EXPECT_EQ(store.engine().read_buffer()->bytes_used(), 0u);
+      EXPECT_GT(store.read_cache_stats().misses, misses);
+      misses = store.read_cache_stats().misses;
+    }
+  }
+}
+
+TEST(BlockTagTest, OnlyStoresThatCheckBlocksDigestThem) {
+  // The block digest is the one per-block tag, computed only by a store
+  // that checks its blocks: P1 and authenticated P2 seal the SHA-256 of
+  // each block's bytes; the unsecured and unauthenticated-P2 baselines
+  // hash nothing and carry kZeroHash.
+  struct Case {
+    Mode mode;
+    bool authenticate_data;
+    bool tagged;
+  };
+  for (const Case& c : {Case{Mode::kP1, true, true},
+                        Case{Mode::kP2, true, true},
+                        Case{Mode::kP2, false, false},
+                        Case{Mode::kUnsecured, true, false}}) {
+    SCOPED_TRACE(test_util::Cat(int(c.mode), c.authenticate_data ? "" : "u"));
+    Options o = BufferOptions();
+    o.mode = c.mode;
+    o.authenticate_data = c.authenticate_data;
+    auto fs = std::make_shared<storage::SimFs>(
+        std::make_shared<sgx::Enclave>(o.cost_model, true));
+    auto db = ElsmDb::Open(o, fs, std::make_shared<TrustedPlatform>());
+    ASSERT_TRUE(db.ok());
+    for (int i = 0; i < 200; ++i) {
+      ASSERT_TRUE(db.value()->Put(Key(i), test_util::Cat("value-", i)).ok());
+    }
+    ASSERT_TRUE(db.value()->CompactAll().ok());
+    size_t blocks = 0;
+    for (const auto& level : db.value()->engine().levels()) {
+      for (const auto& file : level.files) {
+        auto blob = fs->Blob(file.name);
+        ASSERT_NE(blob, nullptr);
+        for (const auto& block : file.blocks) {
+          ++blocks;
+          const crypto::Hash256 expected =
+              c.tagged ? crypto::Sha256::Digest(
+                             std::string_view(*blob).substr(block.offset,
+                                                            block.size))
+                       : crypto::kZeroHash;
+          EXPECT_EQ(block.digest, expected) << file.name << "@" << block.offset;
+        }
+      }
+    }
+    EXPECT_GT(blocks, 1u);
+  }
 }
 
 // --- concurrency (runs under the TSan CI matrix) ---------------------------
@@ -149,7 +194,7 @@ TEST(ReadCacheConcurrencyTest, SingleFlightCollapsesDuplicateMisses) {
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&] {
-      auto r = buffer.Get("f", 0, crypto::kZeroHash, slow_loader);
+      auto r = buffer.Get("f", 0, EachBlock(slow_loader));
       ASSERT_TRUE(r.ok());
       EXPECT_EQ(r.value()->size(), 1024u);
     });
@@ -182,7 +227,7 @@ TEST(ReadCacheConcurrencyTest, ConcurrentMissStressKeepsExactAccounting) {
           return std::string(size, 'm');
         };
         const std::string name = test_util::Cat("f", file);
-        auto r = buffer.Get(name, offset, crypto::kZeroHash, loader);
+        auto r = buffer.Get(name, offset, EachBlock(loader));
         ASSERT_TRUE(r.ok());
         if (i % 97 == 0) buffer.Invalidate(name);
         if (i % 53 == 0) {
@@ -221,7 +266,7 @@ TEST(ReadCacheConcurrencyTest, InvalidateRacesLoadersWithoutStaleInstall) {
         auto loader = []() -> Result<std::string> {
           return std::string(512, 'r');
         };
-        auto r = buffer.Get("f0", offset, crypto::kZeroHash, loader);
+        auto r = buffer.Get("f0", offset, EachBlock(loader));
         ASSERT_TRUE(r.ok());
         EXPECT_EQ(r.value()->size(), 512u);
       }
@@ -233,6 +278,158 @@ TEST(ReadCacheConcurrencyTest, InvalidateRacesLoadersWithoutStaleInstall) {
   buffer.Invalidate("f0");
   EXPECT_EQ(buffer.bytes_used(), buffer.ResidentBytes());
   EXPECT_EQ(buffer.ResidentBytes(), 0u);
+}
+
+TEST(ReadCacheConcurrencyTest, BatchesAndSingleReadsShareOneLookupPath) {
+  // Four threads issue overlapping multi-block batches (duplicates
+  // included) and one-block reads on the same keys of one file, while a
+  // fifth keeps invalidating it, through a buffer small enough to evict.
+  // The "disk" generation bumps before every Invalidate and each loaded
+  // block records the generation it was read at, so:
+  //  * every load is one flight's: loads == misses (a hit or a request
+  //    that joins a flight never loads);
+  //  * a request that starts after an Invalidate returned never sees bytes
+  //    loaded before it (nothing is installed behind an invalidation, and
+  //    a detached flight is never joined);
+  //  * the byte ledger stays exact.
+  auto enclave = MakeEnclave();
+  ReadBuffer buffer(enclave, 4 << 10, BufferPlacement::kOutsideEnclave, 2);
+  constexpr uint64_t kBlock = 512;
+  constexpr uint64_t kBlocks = 16;
+  std::atomic<uint64_t> generation{0};
+  std::atomic<uint64_t> invalidated_through{0};
+  std::atomic<uint64_t> loads{0};
+  std::atomic<int> wrong{0};
+  auto load = [&](const std::vector<ReadBuffer::BlockRequest>& requests) {
+    return [&, requests](const std::vector<size_t>& indices,
+                         std::vector<Result<std::string>>& out) {
+      for (size_t i : indices) {
+        if (requests[i].file != "f") ++wrong;
+        std::string block = test_util::Cat("gen", generation.load(), ".");
+        block.resize(kBlock, '.');
+        out[i] = std::move(block);
+        loads.fetch_add(1);
+      }
+    };
+  };
+  auto gen_of = [](const std::string& block) {
+    return std::stoull(block.substr(3));
+  };
+  std::atomic<bool> stop{false};
+  std::thread invalidator([&] {
+    while (!stop.load()) {
+      const uint64_t g = generation.fetch_add(1) + 1;
+      buffer.Invalidate("f");
+      invalidated_through.store(g);
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+    }
+  });
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 4; ++t) {
+    readers.emplace_back([&, t] {
+      std::mt19937 rng(100 + t);
+      // At least 400 reads each, spanning at least 20 invalidations.
+      for (int i = 0; i < 400 || invalidated_through.load() < 20; ++i) {
+        std::vector<ReadBuffer::BlockRequest> requests;
+        const size_t n = (i % 2 == 0) ? 2 + rng() % 4 : 1;
+        for (size_t k = 0; k < n; ++k) {
+          requests.push_back({"f", (rng() % kBlocks) * kBlock});
+        }
+        const uint64_t floor = invalidated_through.load();
+        auto got = n == 1 ? std::vector<Result<ReadBuffer::Block>>{buffer.Get(
+                                "f", requests[0].offset, load(requests))}
+                          : buffer.GetBatch(requests, load(requests));
+        for (const auto& r : got) {
+          if (!r.ok() || r.value()->size() != kBlock ||
+              gen_of(*r.value()) < floor) {
+            ++wrong;
+          }
+        }
+      }
+    });
+  }
+  for (auto& t : readers) t.join();
+  stop.store(true);
+  invalidator.join();
+  EXPECT_EQ(wrong.load(), 0);
+  const auto stats = buffer.stats();
+  EXPECT_EQ(loads.load(), stats.misses);
+  EXPECT_GT(stats.evictions, 0u);
+  EXPECT_EQ(buffer.bytes_used(), buffer.ResidentBytes());
+  EXPECT_LE(buffer.bytes_used(), 4u << 10);
+}
+
+TEST(ReadCacheConcurrencyTest, InvalidationDetachesFlightsFromLaterRequests) {
+  // Thread A leads a slow load of f#0; thread B's batch {f#0, f#512} joins
+  // that flight and leads f#512. The file is then invalidated while A's
+  // load still runs, and a later request C for f#0 starts a fresh load
+  // instead of joining A's. A and B still get A's bytes, but nothing
+  // loaded before the invalidation is installed: only C's block is
+  // resident at the end.
+  auto enclave = MakeEnclave();
+  ReadBuffer buffer(enclave, 64 << 10, BufferPlacement::kOutsideEnclave, 4);
+  std::promise<void> a_loading;
+  std::promise<void> release_a;
+  std::shared_future<void> released = release_a.get_future().share();
+  auto slow = [&](const std::vector<size_t>& indices,
+                  std::vector<Result<std::string>>& out) {
+    a_loading.set_value();
+    released.wait();
+    for (size_t i : indices) out[i] = std::string(512, 'a');
+  };
+  Result<ReadBuffer::Block> a_got = Status::IOError("unset");
+  std::thread a([&] { a_got = buffer.Get("f", 0, slow); });
+  a_loading.get_future().wait();
+
+  std::promise<std::vector<size_t>> b_led;
+  auto b_loader = [&](const std::vector<size_t>& indices,
+                      std::vector<Result<std::string>>& out) {
+    for (size_t i : indices) out[i] = std::string(512, 'b');
+    b_led.set_value(indices);
+  };
+  std::vector<Result<ReadBuffer::Block>> b_got;
+  std::thread b([&] {
+    const std::vector<ReadBuffer::BlockRequest> requests = {{"f", 0},
+                                                            {"f", 512}};
+    b_got = buffer.GetBatch(requests, b_loader);
+  });
+  // B classified its batch: it leads only f#512, so it joined A's flight.
+  EXPECT_EQ(b_led.get_future().get(), std::vector<size_t>{1});
+
+  buffer.Invalidate("f");
+  std::atomic<int> c_loads{0};
+  auto c = std::async(std::launch::async, [&] {
+    return buffer.Get("f", 0, EachBlock([&]() -> Result<std::string> {
+                        ++c_loads;
+                        return std::string(512, 'c');
+                      }));
+  });
+  // C must not wait for A's load (a detached flight is never joined).
+  const bool c_first =
+      c.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+  release_a.set_value();
+  a.join();
+  b.join();
+  auto c_got = c.get();
+
+  EXPECT_TRUE(c_first);
+  ASSERT_TRUE(c_got.ok());
+  EXPECT_EQ(c_loads.load(), 1);
+  EXPECT_EQ(*c_got.value(), std::string(512, 'c'));
+  ASSERT_TRUE(a_got.ok());
+  EXPECT_EQ(*a_got.value(), std::string(512, 'a'));
+  ASSERT_EQ(b_got.size(), 2u);
+  ASSERT_TRUE(b_got[0].ok());
+  EXPECT_EQ(*b_got[0].value(), std::string(512, 'a'));
+  ASSERT_TRUE(b_got[1].ok());
+  EXPECT_EQ(*b_got[1].value(), std::string(512, 'b'));
+  EXPECT_EQ(buffer.ResidentBytes(), 512u);
+  EXPECT_EQ(buffer.bytes_used(), buffer.ResidentBytes());
+  auto warm = buffer.Get("f", 0, EachBlock([]() -> Result<std::string> {
+                           return Status::IOError("must hit");
+                         }));
+  ASSERT_TRUE(warm.ok());
+  EXPECT_EQ(*warm.value(), std::string(512, 'c'));
 }
 
 TEST(ReadCacheConcurrencyTest, PathCacheChurnUnderParallelVerifiedReaders) {
@@ -578,6 +775,61 @@ TEST(ReadCacheTamperTest, CorruptedFileFailsClosedOnceCachesDrop) {
   auto tampered = reopened.value()->GetVerified(hot);
   ASSERT_FALSE(tampered.ok());
   EXPECT_TRUE(tampered.status().IsAuthFailure());
+}
+
+TEST(ReadCacheTamperTest, P1FlippedSstableByteFailsAsAuthFailure) {
+  // P1 keeps its buffer inside the enclave and checks every block it loads
+  // against the block's sealed digest. With one byte flipped in every
+  // SSTable and the buffer cold after a reopen, every Get returns the
+  // written value or fails with AuthFailure (never Corruption), and a full
+  // compaction, which reads every block, fails with AuthFailure.
+  Options o = BufferOptions();
+  o.mode = Mode::kP1;
+  auto platform = std::make_shared<TrustedPlatform>();
+  auto fs = std::make_shared<storage::SimFs>(
+      std::make_shared<sgx::Enclave>(o.cost_model, true));
+  {
+    auto db = ElsmDb::Open(o, fs, platform);
+    ASSERT_TRUE(db.ok());
+    for (int i = 0; i < 200; ++i) {
+      ASSERT_TRUE(db.value()->Put(Key(i), test_util::Cat("payload-", i)).ok());
+    }
+    ASSERT_TRUE(db.value()->CompactAll().ok());
+    ASSERT_TRUE(db.value()->Close().ok());
+  }
+  size_t tables = 0;
+  for (const std::string& name : fs->List("")) {
+    if (name.size() < 4 || name.compare(name.size() - 4, 4, ".sst") != 0) {
+      continue;
+    }
+    auto blob = fs->MutableBlob(name);
+    ASSERT_NE(blob, nullptr);
+    ASSERT_FALSE(blob->empty());
+    (*blob)[blob->size() / 2] ^= 0x01;
+    ++tables;
+  }
+  ASSERT_GT(tables, 0u);
+
+  auto reopened = ElsmDb::Open(o, fs, platform);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  auto& store = *reopened.value();
+  int failed = 0;
+  for (int i = 0; i < 200; ++i) {
+    auto got = store.Get(Key(i));
+    if (got.ok()) {
+      ASSERT_TRUE(got.value().has_value()) << Key(i);
+      EXPECT_EQ(*got.value(), test_util::Cat("payload-", i));
+    } else {
+      EXPECT_TRUE(got.status().IsAuthFailure()) << got.status().ToString();
+      ++failed;
+    }
+  }
+  EXPECT_GT(failed, 0);
+  // A fresh key makes the full compaction merge (and so read) every
+  // tampered block.
+  ASSERT_TRUE(store.Put(Key(200), "fresh").ok());
+  Status compact = store.CompactAll();
+  EXPECT_TRUE(compact.IsAuthFailure()) << compact.ToString();
 }
 
 }  // namespace

@@ -6,9 +6,12 @@
 #include "storage/read_buffer.h"
 #include "storage/simfs.h"
 #include "storage/wal.h"
+#include "block_loader.h"
 
 namespace elsm::storage {
 namespace {
+
+using test_util::EachBlock;
 
 std::shared_ptr<sgx::Enclave> MakeEnclave(bool enabled = true,
                                           uint64_t epc_bytes = 2 << 20) {
@@ -144,8 +147,8 @@ TEST(ReadBufferTest, HitAvoidsLoader) {
     ++loads;
     return std::string(4096, 'b');
   };
-  ASSERT_TRUE(buffer.Get("f", 0, crypto::kZeroHash, loader).ok());
-  ASSERT_TRUE(buffer.Get("f", 0, crypto::kZeroHash, loader).ok());
+  ASSERT_TRUE(buffer.Get("f", 0, EachBlock(loader)).ok());
+  ASSERT_TRUE(buffer.Get("f", 0, EachBlock(loader)).ok());
   EXPECT_EQ(loads, 1);
   EXPECT_EQ(buffer.stats().hits, 1u);
   EXPECT_EQ(buffer.stats().misses, 1u);
@@ -158,7 +161,7 @@ TEST(ReadBufferTest, EvictsWhenFull) {
     return std::string(4096, 'b');
   };
   for (uint64_t i = 0; i < 4; ++i) {
-    ASSERT_TRUE(buffer.Get("f", i * 4096, crypto::kZeroHash, loader).ok());
+    ASSERT_TRUE(buffer.Get("f", i * 4096, EachBlock(loader)).ok());
   }
   EXPECT_GT(buffer.stats().evictions, 0u);
   EXPECT_LE(buffer.bytes_used(), 8u << 10);
@@ -168,16 +171,16 @@ TEST(ReadBufferTest, InvalidateDropsFileBlocks) {
   auto enclave = MakeEnclave();
   ReadBuffer buffer(enclave, 64 << 10, BufferPlacement::kOutsideEnclave);
   auto loader = []() -> Result<std::string> { return std::string(100, 'x'); };
-  ASSERT_TRUE(buffer.Get("keep", 0, crypto::kZeroHash, loader).ok());
-  ASSERT_TRUE(buffer.Get("drop", 0, crypto::kZeroHash, loader).ok());
+  ASSERT_TRUE(buffer.Get("keep", 0, EachBlock(loader)).ok());
+  ASSERT_TRUE(buffer.Get("drop", 0, EachBlock(loader)).ok());
   buffer.Invalidate("drop");
   int loads = 0;
   auto counting = [&]() -> Result<std::string> {
     ++loads;
     return std::string(100, 'x');
   };
-  ASSERT_TRUE(buffer.Get("keep", 0, crypto::kZeroHash, counting).ok());
-  ASSERT_TRUE(buffer.Get("drop", 0, crypto::kZeroHash, counting).ok());
+  ASSERT_TRUE(buffer.Get("keep", 0, EachBlock(counting)).ok());
+  ASSERT_TRUE(buffer.Get("drop", 0, EachBlock(counting)).ok());
   EXPECT_EQ(loads, 1);  // only "drop" reloaded
 }
 
@@ -195,7 +198,7 @@ TEST(ReadBufferTest, InsideEnclavePlacementChargesMore) {
     // Two passes over 64 blocks: pass 2 hits the buffer but thrashes EPC.
     for (int pass = 0; pass < 2; ++pass) {
       for (uint64_t i = 0; i < 64; ++i) {
-        EXPECT_TRUE(buffer.Get("f", i * 4096, crypto::kZeroHash, loader).ok());
+        EXPECT_TRUE(buffer.Get("f", i * 4096, EachBlock(loader)).ok());
       }
     }
     return enclave->now_ns();
@@ -211,7 +214,7 @@ TEST(ReadBufferTest, LoaderFailurePropagates) {
   auto loader = []() -> Result<std::string> {
     return Status::IOError("disk gone");
   };
-  EXPECT_FALSE(buffer.Get("f", 0, crypto::kZeroHash, loader).ok());
+  EXPECT_FALSE(buffer.Get("f", 0, EachBlock(loader)).ok());
 }
 
 TEST(MmapTest, ReadsAndPins) {
