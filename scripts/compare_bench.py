@@ -15,6 +15,17 @@ feature-dependent and reported informationally.
 
 Default watch list: every figure bench ("fig*:*"). micro_* benches measure
 real time and are never watched by default.
+
+    scripts/compare_bench.py BENCH_pr25.json BENCH_pr26.json --exact \
+        --allow 'fig7a:p2-mmap' --allow 'ablation:a3-write-*'
+
+--exact also gates the deterministic rows: simulated latencies ("us"),
+sizes ("kb", "mib", "bytes") and simulated throughput ("kops_s"). Two runs
+of one tree agree on them byte for byte, so every such row present in both
+files must be identical unless it matches an --allow bench:series glob (a
+deliberate cost change), and an allowed row may only move in its better
+direction: down, or up for "kops_s". The mode prints how many rows were
+identical, allowed and moved, or in violation.
 """
 import argparse
 import fnmatch
@@ -32,6 +43,29 @@ def load_rows(path):
         key = (row["bench"], row["series"], row.get("x_name", ""), row["x"])
         rows[key] = row
     return doc, rows
+
+
+EXACT_UNITS = ("us", "kb", "mib", "bytes", "kops_s")
+HIGHER_IS_BETTER = ("kops_s",)
+
+
+def exact_check(base, new, allow):
+    """Counts (identical, allowed_moved, violations) over EXACT_UNITS rows."""
+    identical, allowed, violations = 0, [], []
+    for key, row in sorted(base.items()):
+        if row.get("unit") not in EXACT_UNITS or key not in new:
+            continue
+        b, n = row["value"], new[key]["value"]
+        if b == n:
+            identical += 1
+            continue
+        name = f"{key[0]}:{key[1]}"
+        better = n > b if row["unit"] in HIGHER_IS_BETTER else n < b
+        if better and any(fnmatch.fnmatch(name, pat) for pat in allow):
+            allowed.append((key, b, n))
+        else:
+            violations.append((key, b, n))
+    return identical, allowed, violations
 
 
 def watched(key, row, patterns):
@@ -54,6 +88,12 @@ def main():
                         help="how many largest deltas to print")
     parser.add_argument("--allow-missing", action="store_true",
                         help="do not fail when a watched base row is gone")
+    parser.add_argument("--exact", action="store_true",
+                        help="also require deterministic rows (units "
+                             + ", ".join(EXACT_UNITS) + ") to be identical")
+    parser.add_argument("--allow", action="append", default=[],
+                        help="with --exact: bench:series glob whose rows may "
+                             "move in their better direction (repeatable)")
     args = parser.parse_args()
     patterns = args.watch or ["fig*:*"]
 
@@ -95,6 +135,21 @@ def main():
         print(f"MISSING watched row: {label(key)}")
 
     failed = bool(regressions) or (bool(missing) and not args.allow_missing)
+    if args.exact:
+        identical, allowed, violations = exact_check(base, new, args.allow)
+        for key, b, n in allowed:
+            print(f"allowed  {(n - b) / b:>+8.3%}  {b:>12.6g}  {n:>12.6g}  "
+                  f"{label(key)}")
+        for key, b, n in violations:
+            rel = f"{(n - b) / b:>+8.3%}" if b else f"{'new':>8}"
+            print(f"VIOLATION {rel}  {b:>12.6g}  {n:>12.6g}  {label(key)}")
+        print(f"exact: {identical} identical, {len(allowed)} allowed and "
+              f"moved, {len(violations)} violating "
+              f"(units {', '.join(EXACT_UNITS)})")
+        if violations:
+            print(f"FAIL: {len(violations)} deterministic row(s) changed "
+                  "outside the allow-list or in their worse direction")
+            failed = True
     if regressions:
         print(f"FAIL: {len(regressions)} watched row(s) regressed "
               f"> {args.threshold:.0%}")

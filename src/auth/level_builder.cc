@@ -26,7 +26,7 @@ LevelDigest RunDigester::Finish() {
   SealGroup();
   in_group_ = false;
   enclave_->ChargeHash(leaves_.size() * 64);  // interior nodes, amortized
-  crypto::MerkleTree tree(std::move(leaves_));
+  const crypto::MerkleTree tree(std::move(leaves_));
   leaves_.clear();
   return LevelDigest{tree.root(), tree.leaf_count()};
 }
@@ -37,7 +37,8 @@ Status SealBuilder::AddGroup(const std::vector<lsm::Record>& group,
   std::vector<std::string> encodings;
   encodings.reserve(group.size());
   for (const lsm::Record& r : group) encodings.push_back(r.EncodeCore());
-  const auto suffixes = crypto::ChainSuffixes(encodings);
+  crypto::Hash256 leaf = crypto::kZeroHash;
+  const auto suffixes = crypto::ChainSuffixes(encodings, &leaf);
   const uint64_t leaf_index = leaves_.size();
   for (size_t i = 0; i < group.size(); ++i) {
     EmbeddedProof proof;
@@ -50,7 +51,7 @@ Status SealBuilder::AddGroup(const std::vector<lsm::Record>& group,
     }
     enclave_->ChargeHash(encodings[i].size() + 33);
   }
-  leaves_.push_back(crypto::ChainDigest(encodings));
+  leaves_.push_back(leaf);
   return Status::Ok();
 }
 
@@ -58,13 +59,11 @@ Result<lsm::CompactionSeal> SealBuilder::Finish() {
   lsm::CompactionSeal seal;
   if (leaves_.empty()) return seal;
   enclave_->ChargeHash(leaves_.size() * 64);  // interior-node hashing
-  crypto::MerkleTree tree(std::move(leaves_));
+  const crypto::MerkleTree tree(std::move(leaves_));
   leaves_.clear();
   seal.root = tree.root();
   seal.leaf_count = tree.leaf_count();
-  seal.tree_payload = TreeFile::Serialize(tree);
-  // The sidecar is recomputed above; charge the duplicate interior pass.
-  enclave_->ChargeHash(seal.leaf_count * 32);
+  seal.tree_payload = tree.image();  // the sidecar is the tree's own image
   seal.proof_blobs.reserve(pending_.size());
   for (EmbeddedProof& proof : pending_) {
     proof.path = tree.Path(proof.leaf_index);

@@ -1,7 +1,8 @@
 // Builds the eLSM-P2 digest for a freshly compacted level (paper §5.5.2
 // steps b and c): per-key hash chains over the sorted run, a Merkle tree
 // over the chain digests, embedded-proof blobs for every record, and the
-// serialized tree sidecar.
+// tree sidecar, which is the tree's own image. Each chain link and each
+// tree node is hashed once.
 //
 // Hash work is real (the root is a genuine SHA-256 Merkle root over the
 // records) and is charged on the enclave cost model.
@@ -46,12 +47,14 @@ class RunDigester {
 };
 
 // Seal of compaction *output*, fed one merged key group (newest-first) at a
-// time: AddGroup() chains the group into one leaf; Finish() returns
-// root/leaf_count/tree sidecar. By default each group's proof blobs
-// ({leaf_index, suffix}) are emitted immediately. With `embed_full_paths`
-// (the paper's literal layout) a record's blob also carries its full
-// Merkle path, which needs the finished tree: AddGroup() then keeps the
-// {leaf_index, suffix} pairs and Finish() returns one blob per record.
+// time: AddGroup() walks the group's chain once, oldest to newest, keeping
+// each record's suffix digest and the leaf the walk ends on; Finish()
+// builds the tree and returns root/leaf_count/tree sidecar. By default
+// each group's proof blobs ({leaf_index, suffix}) are emitted immediately.
+// With `embed_full_paths` (the paper's literal layout) a record's blob also
+// carries its full Merkle path, which needs the finished tree: AddGroup()
+// then keeps the {leaf_index, suffix} pairs and Finish() returns one blob
+// per record.
 class SealBuilder {
  public:
   explicit SealBuilder(sgx::Enclave* enclave, bool embed_full_paths = false)

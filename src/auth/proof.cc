@@ -1,8 +1,11 @@
 #include "auth/proof.h"
 
+#include <algorithm>
+#include <cstdint>
 #include <cstring>
 
 #include "common/coding.h"
+#include "storage/mmap.h"
 
 namespace elsm::auth {
 namespace {
@@ -52,120 +55,19 @@ Result<EmbeddedProof> EmbeddedProof::Decode(std::string_view blob) {
   return proof;
 }
 
-std::string TreeFile::Serialize(const crypto::MerkleTree& tree) {
-  std::string out;
-  PutFixed64(&out, tree.leaf_count());
-  // Rebuild level-by-level exactly as MerkleTree does, appending raw hashes.
-  // (The tree object does not expose its levels; recompute widths and walk
-  // leaves upward — cheap relative to the hashing already done.)
-  std::vector<crypto::Hash256> level;
-  level.reserve(tree.leaf_count());
-  for (uint64_t i = 0; i < tree.leaf_count(); ++i) level.push_back(tree.leaf(i));
-  while (true) {
-    for (const crypto::Hash256& h : level) {
-      out.append(reinterpret_cast<const char*>(h.data()), h.size());
-    }
-    if (level.size() <= 1) break;
-    std::vector<crypto::Hash256> next;
-    next.reserve((level.size() + 1) / 2);
-    for (size_t i = 0; i + 1 < level.size(); i += 2) {
-      next.push_back(crypto::HashInterior(level[i], level[i + 1]));
-    }
-    if (level.size() % 2 == 1) next.push_back(level.back());
-    level = std::move(next);
-  }
-  return out;
+Result<const crypto::MerkleTree*> ProofAssembler::Tree(
+    const lsm::LevelMeta& meta) {
+  return meta.sidecar->GetOrMake<crypto::MerkleTree>(
+      [&]() -> Result<crypto::MerkleTree> {
+        auto region = storage::MmapRegion::Open(*fs_, meta.tree_file);
+        if (!region.ok()) return region.status();
+        (void)region.value().Read(0, 8);  // the leaf-count header
+        return crypto::MerkleTree::Open(region.value().blob());
+      });
 }
 
-Result<TreeFile> TreeFile::Open(const storage::Fs& fs,
-                                const std::string& name) {
-  auto region = storage::MmapRegion::Open(fs, name);
-  if (!region.ok()) return region.status();
-  auto header = region.value().Read(0, 8);
-  if (!header.ok() || header.value().size() < 8) {
-    return Status::Corruption("bad tree file header");
-  }
-  uint64_t leaf_count = 0;
-  std::string_view cursor = header.value();
-  if (!GetFixed64(&cursor, &leaf_count)) {
-    return Status::Corruption("bad tree file header");
-  }
-  std::vector<uint64_t> offsets;
-  std::vector<uint64_t> widths;
-  uint64_t offset = 8;
-  uint64_t width = leaf_count == 0 ? 1 : leaf_count;
-  while (true) {
-    offsets.push_back(offset);
-    widths.push_back(width);
-    offset += width * 32;
-    if (width <= 1) break;
-    width = (width + 1) / 2;
-  }
-  return TreeFile(std::move(region).value(), leaf_count, std::move(offsets),
-                  std::move(widths));
-}
-
-Result<crypto::Hash256> TreeFile::Node(size_t level, uint64_t index) const {
-  if (level >= level_offsets_.size() || index >= level_widths_[level]) {
-    return Status::Corruption("tree node out of range");
-  }
-  auto bytes = region_.Read(level_offsets_[level] + index * 32, 32);
-  if (!bytes.ok()) return bytes.status();
-  if (bytes.value().size() != 32) {
-    return Status::Corruption("short tree node read");
-  }
-  crypto::Hash256 h;
-  std::memcpy(h.data(), bytes.value().data(), 32);
-  return h;
-}
-
-Result<crypto::MerklePath> TreeFile::Siblings(uint64_t leaf_index) const {
-  crypto::MerklePath path;
-  path.leaf_index = leaf_index;
-  uint64_t idx = leaf_index;
-  for (size_t l = 0; l + 1 < level_widths_.size(); ++l) {
-    const uint64_t width = level_widths_[l];
-    if (idx % 2 == 1) {
-      auto node = Node(l, idx - 1);
-      if (!node.ok()) return node.status();
-      path.siblings.push_back(node.value());
-    } else if (idx + 1 < width) {
-      auto node = Node(l, idx + 1);
-      if (!node.ok()) return node.status();
-      path.siblings.push_back(node.value());
-    }
-    idx /= 2;
-  }
-  return path;
-}
-
-Result<crypto::MerkleRangeProof> TreeFile::RangeProof(uint64_t lo,
-                                                      uint64_t hi) const {
-  crypto::MerkleRangeProof proof;
-  proof.lo = lo;
-  uint64_t cur_lo = lo;
-  uint64_t cur_hi = hi;
-  for (size_t l = 0; l + 1 < level_widths_.size(); ++l) {
-    const uint64_t width = level_widths_[l];
-    if (cur_lo % 2 == 1) {
-      auto node = Node(l, cur_lo - 1);
-      if (!node.ok()) return node.status();
-      proof.hashes.push_back(node.value());
-    }
-    if (cur_hi % 2 == 0 && cur_hi + 1 < width) {
-      auto node = Node(l, cur_hi + 1);
-      if (!node.ok()) return node.status();
-      proof.hashes.push_back(node.value());
-    }
-    cur_lo /= 2;
-    cur_hi /= 2;
-  }
-  return proof;
-}
-
-Result<const TreeFile*> ProofAssembler::Tree(const lsm::LevelMeta& meta) {
-  return meta.sidecar->GetOrMake<TreeFile>(
-      [&] { return TreeFile::Open(*fs_, meta.tree_file); });
+void ProofAssembler::ChargeNodeReads(size_t nodes) const {
+  fs_->enclave().UntrustedRead(32 * nodes);
 }
 
 namespace {
@@ -205,9 +107,11 @@ Result<AssembledGet> ProofAssembler::AssembleGet(
       }
       auto tree = Tree(meta);
       if (!tree.ok()) return tree.status();
-      auto path = tree.value()->Siblings(proof.leaf_index);
-      if (!path.ok()) return path.status();
-      *path_out = std::move(path).value();
+      if (proof.leaf_index >= tree.value()->leaf_count()) {
+        return Status::Corruption("leaf index beyond the tree sidecar");
+      }
+      *path_out = tree.value()->Path(proof.leaf_index);
+      ChargeNodeReads(path_out->siblings.size());
       return Status::Ok();
     };
 
@@ -280,37 +184,23 @@ Result<AssembledScan> ProofAssembler::AssembleScan(
     }
 
     // Contiguous leaf run = [pred] + heads + [succ].
-    uint64_t lo = 0;
+    uint64_t lo = UINT64_MAX;
     uint64_t hi = 0;
-    bool have = false;
-    auto extend = [&](const std::optional<AssembledEntry>& e) {
-      if (!e.has_value()) return;
-      const uint64_t idx = e->proof.leaf_index;
-      if (!have) {
-        lo = hi = idx;
-        have = true;
-      } else {
-        lo = std::min(lo, idx);
-        hi = std::max(hi, idx);
-      }
+    auto extend = [&](const AssembledEntry& e) {
+      lo = std::min(lo, e.proof.leaf_index);
+      hi = std::max(hi, e.proof.leaf_index);
     };
-    extend(al.pred);
-    for (const AssembledEntry& e : al.heads) {
-      if (!have) {
-        lo = hi = e.proof.leaf_index;
-        have = true;
-      } else {
-        lo = std::min(lo, e.proof.leaf_index);
-        hi = std::max(hi, e.proof.leaf_index);
-      }
-    }
-    extend(al.succ);
-    if (have) {
+    if (al.pred.has_value()) extend(*al.pred);
+    for (const AssembledEntry& e : al.heads) extend(e);
+    if (al.succ.has_value()) extend(*al.succ);
+    if (lo <= hi) {
       auto tree = Tree(meta);
       if (!tree.ok()) return tree.status();
-      auto range = tree.value()->RangeProof(lo, hi);
-      if (!range.ok()) return range.status();
-      al.range = std::move(range).value();
+      if (hi >= tree.value()->leaf_count()) {
+        return Status::Corruption("leaf range beyond the tree sidecar");
+      }
+      al.range = tree.value()->RangeProof(lo, hi);
+      ChargeNodeReads(al.range.hashes.size());
       out.proof_bytes += al.range.hashes.size() * 32;
     }
     out.levels.push_back(std::move(al));

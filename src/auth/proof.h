@@ -3,13 +3,14 @@
 // Embedded proof: every record stored in an SSTable carries
 //   { leaf_index, chain suffix }  (+ optionally the full Merkle path).
 // The Merkle authentication-path hashes live in a per-level *tree sidecar*
-// file in untrusted storage; the ProofAssembler (playing the untrusted-host
-// role, §5.3 r1) combines record blobs with sidecar hashes into the proof
-// the enclave verifies. DESIGN.md §2 documents this as a storage-layout
-// refinement of the paper's "proofs embedded in records": the proof is
-// still assembled entirely from untrusted, per-record materialized data,
-// but interior hashes are not duplicated into every record (the paper's
-// literal layout is available via `embed_full_paths` and tested equal).
+// file in untrusted storage, the image of the level's crypto::MerkleTree;
+// the ProofAssembler (playing the untrusted-host role, §5.3 r1) combines
+// record blobs with sidecar hashes into the proof the enclave verifies.
+// DESIGN.md §2 documents this as a storage-layout refinement of the
+// paper's "proofs embedded in records": the proof is still assembled
+// entirely from untrusted, per-record materialized data, but interior
+// hashes are not duplicated into every record (the paper's literal layout
+// is available via `embed_full_paths` and tested equal).
 #pragma once
 
 #include <optional>
@@ -21,7 +22,6 @@
 #include "crypto/merkle.h"
 #include "lsm/engine.h"
 #include "storage/fs.h"
-#include "storage/mmap.h"
 
 namespace elsm::auth {
 
@@ -32,37 +32,6 @@ struct EmbeddedProof {
 
   std::string Encode() const;
   static Result<EmbeddedProof> Decode(std::string_view blob);
-};
-
-// Reader for the per-level Merkle sidecar: all tree nodes, level by level,
-// leaves first. The file is untrusted — a tampered sidecar only produces
-// proofs that fail verification.
-class TreeFile {
- public:
-  static Result<TreeFile> Open(const storage::Fs& fs, const std::string& name);
-
-  uint64_t leaf_count() const { return leaf_count_; }
-  Result<crypto::MerklePath> Siblings(uint64_t leaf_index) const;
-  Result<crypto::MerkleRangeProof> RangeProof(uint64_t lo, uint64_t hi) const;
-
-  // Serialization used by the level builder.
-  static std::string Serialize(const crypto::MerkleTree& tree);
-
- private:
-  TreeFile(storage::MmapRegion region, uint64_t leaf_count,
-           std::vector<uint64_t> level_offsets,
-           std::vector<uint64_t> level_widths)
-      : region_(std::move(region)),
-        leaf_count_(leaf_count),
-        level_offsets_(std::move(level_offsets)),
-        level_widths_(std::move(level_widths)) {}
-
-  Result<crypto::Hash256> Node(size_t level, uint64_t index) const;
-
-  storage::MmapRegion region_;
-  uint64_t leaf_count_;
-  std::vector<uint64_t> level_offsets_;  // byte offset of each tree level
-  std::vector<uint64_t> level_widths_;
 };
 
 // --- assembled (wire-level) proofs the enclave verifies ---------------------
@@ -105,9 +74,12 @@ struct AssembledScan {
 };
 
 // Untrusted-host role: turns engine responses into assembled proofs by
-// decoding embedded blobs and fetching sidecar hashes. A level's TreeFile
-// is opened (mmap) once and hung on the level's LevelMeta::sidecar, so it
-// lives exactly as long as a snapshot that can read it.
+// decoding embedded blobs and fetching sidecar hashes. A level's sidecar is
+// mapped once, opened as a crypto::MerkleTree and hung on the level's
+// LevelMeta::sidecar, so it lives exactly as long as a snapshot that can
+// read it; proofs come from the tree's own Path/RangeProof. The sidecar is
+// untrusted: an index beyond it is Corruption, and a tampered node only
+// produces proofs that fail verification.
 class ProofAssembler {
  public:
   explicit ProofAssembler(std::shared_ptr<storage::Fs> fs)
@@ -119,7 +91,9 @@ class ProofAssembler {
                                      const std::vector<lsm::LevelMeta>& levels);
 
  private:
-  Result<const TreeFile*> Tree(const lsm::LevelMeta& meta);
+  Result<const crypto::MerkleTree*> Tree(const lsm::LevelMeta& meta);
+  // Charges reading `nodes` 32-byte nodes from a mapped sidecar.
+  void ChargeNodeReads(size_t nodes) const;
 
   std::shared_ptr<storage::Fs> fs_;
 };

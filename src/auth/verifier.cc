@@ -102,31 +102,30 @@ Status Verifier::VerifyPathCached(const crypto::Hash256& leaf_hash,
                                   const crypto::MerklePath& path,
                                   uint64_t leaf_count,
                                   const crypto::Hash256& root) const {
+  using crypto::MerkleTree;
   if (path_cache_entries_ == 0) {
     enclave_->ChargeHash(65 * path.siblings.size());
-    return crypto::MerkleTree::VerifyPath(leaf_hash, path, leaf_count, root);
+    return MerkleTree::VerifyPath(leaf_hash, path, leaf_count, root);
   }
-  if (leaf_count == 0) return Status::AuthFailure("path against empty tree");
+  // An index beyond the tree fails the climb before it hashes anything, so
+  // it consults no cache.
   if (path.leaf_index >= leaf_count) {
-    return Status::AuthFailure("leaf index out of range");
+    return MerkleTree::VerifyPath(leaf_hash, path, leaf_count, root);
   }
-  uint32_t height = 0;  // levels below the root
-  for (uint64_t width = leaf_count; width > 1; width = (width + 1) / 2) {
-    ++height;
-  }
+  const uint32_t height = MerkleTree::Height(leaf_count);
   auto key_at = [&](uint32_t level) {
     return PathNodeCache::Key{root, path.leaf_index >> level, level};
   };
 
   // Probe: the climb can stop at the lowest cached node below the root.
   uint32_t stop = height;
-  crypto::Hash256 cached{};
+  crypto::Hash256 expected = root;
   {
     std::lock_guard<std::mutex> lock(cache_mu_);
     ++cache_stats_.lookups;
     for (uint32_t level = 0; level < height; ++level) {
       if (const crypto::Hash256* node = path_nodes_.Find(key_at(level))) {
-        cached = *node;
+        expected = *node;
         stop = level;
         break;
       }
@@ -134,49 +133,18 @@ Status Verifier::VerifyPathCached(const crypto::Hash256& leaf_hash,
   }
 
   // Climb to `stop` with no lock held, keeping every node computed on the
-  // way; they are inserted only if the whole path verifies.
-  crypto::Hash256 nodes[65];
-  nodes[0] = leaf_hash;
-  uint64_t idx = path.leaf_index;
-  uint64_t width = leaf_count;
-  size_t used = 0;
+  // way; they are inserted only if the whole path verifies. Above `stop`
+  // the climb was verified before, so only the path's length is checked.
+  MerkleTree::ClimbNodes nodes;
   uint64_t hashed = 0;
-  Status s = Status::Ok();
-  for (uint32_t level = 0; level < stop; ++level) {
-    const crypto::Hash256& h = nodes[level];
-    if (idx % 2 == 1 || idx + 1 < width) {
-      if (used >= path.siblings.size()) {
-        s = Status::AuthFailure("merkle path too short");
-        break;
-      }
-      const crypto::Hash256& sibling = path.siblings[used++];
-      nodes[level + 1] = idx % 2 == 1 ? crypto::HashInterior(sibling, h)
-                                      : crypto::HashInterior(h, sibling);
-      ++hashed;
-    } else {
-      nodes[level + 1] = h;  // an unpaired rightmost node carries up
-    }
-    idx /= 2;
-    width = (width + 1) / 2;
-  }
-  if (s.ok() && stop < height) {
-    if (nodes[stop] != cached) {
-      // The host's proof disagrees with a node already verified against
-      // this root: under collision resistance the proof is forged.
-      s = Status::AuthFailure("proof contradicts verified path node");
-    }
-    // The climb from the cached node to the root was verified before; only
-    // the remaining sibling count still needs checking (same malformed-
-    // proof acceptance as the full climb).
-    for (; width > 1; idx /= 2, width = (width + 1) / 2) {
-      if (idx % 2 == 1 || idx + 1 < width) ++used;
-    }
-  }
-  if (s.ok() && used != path.siblings.size()) {
-    s = Status::AuthFailure("merkle path has extra nodes");
-  }
-  if (s.ok() && stop == height && nodes[height] != root) {
-    s = Status::AuthFailure("merkle root mismatch");
+  Status s =
+      MerkleTree::Climb(leaf_hash, path, leaf_count, stop, &nodes, &hashed);
+  if (s.ok() && nodes[stop] != expected) {
+    // Below the root, the host's proof disagrees with a node already
+    // verified against this root: under collision resistance it is forged.
+    s = Status::AuthFailure(stop < height
+                                ? "proof contradicts verified path node"
+                                : "merkle root mismatch");
   }
   // One ChargeHash covers the whole climb (same cost as the uncached
   // single 65*n charge when nothing is cached).

@@ -146,10 +146,10 @@ class Verifier {
   // Recomputes a group-head leaf hash and verifies key/path bookkeeping.
   Result<crypto::Hash256> HeadLeaf(const AssembledEntry& e) const;
 
-  // MerkleTree::VerifyPath with the node cache: identical acceptance
-  // semantics (same malformed-proof checks), but the climb stops at the
-  // first cached node and only the interior hashes actually evaluated are
-  // charged to the enclave.
+  // MerkleTree::VerifyPath with the node cache: the same climb
+  // (MerkleTree::Climb, so the same malformed-proof checks), but it hashes
+  // only up to the lowest cached node, and only the interior hashes
+  // actually evaluated are charged to the enclave.
   Status VerifyPathCached(const crypto::Hash256& leaf_hash,
                           const crypto::MerklePath& path, uint64_t leaf_count,
                           const crypto::Hash256& root) const;

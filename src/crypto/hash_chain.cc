@@ -31,7 +31,7 @@ Hash256 ChainDigest(const std::vector<std::string>& encodings_newest_first) {
 }
 
 std::vector<ChainSuffix> ChainSuffixes(
-    const std::vector<std::string>& encodings_newest_first) {
+    const std::vector<std::string>& encodings_newest_first, Hash256* leaf) {
   const size_t n = encodings_newest_first.size();
   std::vector<ChainSuffix> out(n);
   Hash256 digest = kZeroHash;
@@ -44,6 +44,7 @@ std::vector<ChainSuffix> ChainSuffixes(
                   : ChainBase(encodings_newest_first[i]);
     have = true;
   }
+  if (leaf != nullptr) *leaf = digest;
   return out;
 }
 

@@ -36,13 +36,15 @@ Hash256 ChainDigest(const std::vector<std::string>& encodings_newest_first);
 
 // Suffix digests: out[i] = C_{i+1}, i.e. the digest of everything older
 // than record i (kZeroHash marks "no suffix" for the oldest record).
-// out[0] combined with encoding 0 reproduces the leaf.
+// out[0] combined with encoding 0 reproduces the leaf, which the same walk
+// ends on: `leaf`, when given, receives it.
 struct ChainSuffix {
   Hash256 digest = kZeroHash;
   bool present = false;
 };
 std::vector<ChainSuffix> ChainSuffixes(
-    const std::vector<std::string>& encodings_newest_first);
+    const std::vector<std::string>& encodings_newest_first,
+    Hash256* leaf = nullptr);
 
 // Rebuilds the leaf digest from the newest `k` encodings plus the suffix
 // covering the rest. `suffix.present == false` means the provided encodings

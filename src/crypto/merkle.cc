@@ -5,6 +5,39 @@
 #include "common/coding.h"
 
 namespace elsm::crypto {
+namespace {
+
+constexpr uint64_t kHeaderBytes = 8;  // fixed64 leaf count
+
+// The shape. A level is half as wide as the one below it, rounded up: nodes
+// pair left to right, and an unpaired last node is carried up unchanged.
+uint64_t ParentWidth(uint64_t width) { return width / 2 + width % 2; }
+
+// Whether the node at `index` of a level `width` nodes wide is paired.
+bool HasSibling(uint64_t index, uint64_t width) {
+  return index % 2 == 1 || index + 1 < width;
+}
+
+// Nodes of a tree over `leaf_count` leaves, summed over its levels.
+uint64_t NodeCount(uint64_t leaf_count) {
+  uint64_t count = leaf_count;
+  for (uint64_t width = leaf_count; width > 1; width = ParentWidth(width)) {
+    count += ParentWidth(width);
+  }
+  return count;
+}
+
+Hash256 NodeAt(std::string_view image, uint64_t pos) {
+  Hash256 node;
+  std::memcpy(node.data(), image.data() + kHeaderBytes + 32 * pos, 32);
+  return node;
+}
+
+void AppendNode(std::string* image, const Hash256& node) {
+  image->append(reinterpret_cast<const char*>(node.data()), node.size());
+}
+
+}  // namespace
 
 Hash256 HashInterior(const Hash256& a, const Hash256& b) {
   Sha256 h;
@@ -65,88 +98,124 @@ Result<MerkleRangeProof> MerkleRangeProof::Decode(std::string_view data) {
 
 MerkleTree::MerkleTree(std::vector<Hash256> leaves)
     : leaf_count_(leaves.size()) {
-  if (leaves.empty()) {
-    root_ = kZeroHash;
-    levels_.push_back({});
-    return;
-  }
-  levels_.push_back(std::move(leaves));
-  while (levels_.back().size() > 1) {
-    const std::vector<Hash256>& cur = levels_.back();
-    std::vector<Hash256> next;
-    next.reserve((cur.size() + 1) / 2);
-    for (size_t i = 0; i + 1 < cur.size(); i += 2) {
-      next.push_back(HashInterior(cur[i], cur[i + 1]));
+  std::string image;
+  image.reserve(kHeaderBytes + 32 * NodeCount(leaf_count_));
+  PutFixed64(&image, leaf_count_);
+  for (const Hash256& leaf : leaves) AppendNode(&image, leaf);
+  // Each level pairs up the nodes of the level appended before it.
+  uint64_t start = 0;  // position of the level's first node
+  for (uint64_t width = leaf_count_; width > 1;
+       start += width, width = ParentWidth(width)) {
+    for (uint64_t i = 0; i + 1 < width; i += 2) {
+      AppendNode(&image, HashInterior(NodeAt(image, start + i),
+                                      NodeAt(image, start + i + 1)));
     }
-    if (cur.size() % 2 == 1) next.push_back(cur.back());  // carry odd node
-    levels_.push_back(std::move(next));
+    if (width % 2 == 1) AppendNode(&image, NodeAt(image, start + width - 1));
   }
-  root_ = levels_.back()[0];
+  image_ = std::make_shared<const std::string>(std::move(image));
+}
+
+Result<MerkleTree> MerkleTree::Open(std::shared_ptr<const std::string> image) {
+  std::string_view header(*image);
+  uint64_t leaf_count = 0;
+  if (!GetFixed64(&header, &leaf_count)) {
+    return Status::Corruption("bad tree image header");
+  }
+  // Bound the untrusted count by the image before summing its levels, so
+  // the sum cannot overflow.
+  const uint64_t node_bytes = image->size() - kHeaderBytes;
+  if (leaf_count > node_bytes / 32 ||
+      NodeCount(leaf_count) * 32 != node_bytes) {
+    return Status::Corruption("tree image size does not match its header");
+  }
+  return MerkleTree(std::move(image), leaf_count);
+}
+
+Hash256 MerkleTree::Node(uint64_t pos) const { return NodeAt(*image_, pos); }
+
+Hash256 MerkleTree::root() const {
+  if (leaf_count_ == 0) return kZeroHash;
+  return Node((image_->size() - kHeaderBytes) / 32 - 1);
+}
+
+uint32_t MerkleTree::Height(uint64_t leaf_count) {
+  uint32_t height = 0;
+  for (uint64_t width = leaf_count; width > 1; width = ParentWidth(width)) {
+    ++height;
+  }
+  return height;
 }
 
 MerklePath MerkleTree::Path(uint64_t leaf_index) const {
   MerklePath path;
   path.leaf_index = leaf_index;
+  uint64_t start = 0;
   uint64_t idx = leaf_index;
-  for (size_t l = 0; l + 1 < levels_.size(); ++l) {
-    const std::vector<Hash256>& level = levels_[l];
-    if (idx % 2 == 1) {
-      path.siblings.push_back(level[idx - 1]);
-    } else if (idx + 1 < level.size()) {
-      path.siblings.push_back(level[idx + 1]);
+  for (uint64_t width = leaf_count_; width > 1;
+       start += width, width = ParentWidth(width), idx /= 2) {
+    if (HasSibling(idx, width)) {
+      path.siblings.push_back(Node(start + (idx ^ 1)));
     }
-    // idx even and last in level: carried up, no sibling at this level.
-    idx /= 2;
   }
   return path;
 }
 
-Status MerkleTree::VerifyPath(const Hash256& leaf_hash, const MerklePath& path,
-                              uint64_t leaf_count, const Hash256& root) {
+Status MerkleTree::Climb(const Hash256& leaf_hash, const MerklePath& path,
+                         uint64_t leaf_count, uint32_t hash_levels,
+                         ClimbNodes* nodes, uint64_t* hashed) {
   if (leaf_count == 0) return Status::AuthFailure("path against empty tree");
   if (path.leaf_index >= leaf_count) {
     return Status::AuthFailure("leaf index out of range");
   }
-  Hash256 h = leaf_hash;
+  (*nodes)[0] = leaf_hash;
   uint64_t idx = path.leaf_index;
-  uint64_t width = leaf_count;
   size_t used = 0;
-  while (width > 1) {
-    if (idx % 2 == 1) {
-      if (used >= path.siblings.size()) {
-        return Status::AuthFailure("merkle path too short");
-      }
-      h = HashInterior(path.siblings[used++], h);
-    } else if (idx + 1 < width) {
-      if (used >= path.siblings.size()) {
-        return Status::AuthFailure("merkle path too short");
-      }
-      h = HashInterior(h, path.siblings[used++]);
+  uint32_t level = 0;
+  for (uint64_t width = leaf_count; width > 1;
+       width = ParentWidth(width), idx /= 2, ++level) {
+    if (!HasSibling(idx, width)) {
+      if (level < hash_levels) (*nodes)[level + 1] = (*nodes)[level];
+      continue;
     }
-    idx /= 2;
-    width = (width + 1) / 2;
+    if (used == path.siblings.size()) {
+      return Status::AuthFailure("merkle path too short");
+    }
+    const Hash256& sibling = path.siblings[used++];
+    if (level < hash_levels) {
+      const Hash256& node = (*nodes)[level];
+      (*nodes)[level + 1] = idx % 2 == 1 ? HashInterior(sibling, node)
+                                         : HashInterior(node, sibling);
+      ++*hashed;
+    }
   }
   if (used != path.siblings.size()) {
     return Status::AuthFailure("merkle path has extra nodes");
   }
-  if (h != root) return Status::AuthFailure("merkle root mismatch");
+  return Status::Ok();
+}
+
+Status MerkleTree::VerifyPath(const Hash256& leaf_hash, const MerklePath& path,
+                              uint64_t leaf_count, const Hash256& root) {
+  ClimbNodes nodes;
+  uint64_t hashed = 0;
+  Status s = Climb(leaf_hash, path, leaf_count, kMaxHeight, &nodes, &hashed);
+  if (!s.ok()) return s;
+  if (nodes[Height(leaf_count)] != root) {
+    return Status::AuthFailure("merkle root mismatch");
+  }
   return Status::Ok();
 }
 
 MerkleRangeProof MerkleTree::RangeProof(uint64_t lo, uint64_t hi) const {
   MerkleRangeProof proof;
   proof.lo = lo;
-  uint64_t cur_lo = lo;
-  uint64_t cur_hi = hi;
-  for (size_t l = 0; l + 1 < levels_.size(); ++l) {
-    const std::vector<Hash256>& level = levels_[l];
-    const uint64_t width = level.size();
-    if (cur_lo % 2 == 1) proof.hashes.push_back(level[cur_lo - 1]);
-    if (cur_hi % 2 == 0 && cur_hi + 1 < width) {
-      proof.hashes.push_back(level[cur_hi + 1]);
+  uint64_t start = 0;
+  for (uint64_t width = leaf_count_; width > 1;
+       start += width, width = ParentWidth(width), lo /= 2, hi /= 2) {
+    if (lo % 2 == 1) proof.hashes.push_back(Node(start + lo - 1));
+    if (hi % 2 == 0 && hi + 1 < width) {
+      proof.hashes.push_back(Node(start + hi + 1));
     }
-    cur_lo /= 2;
-    cur_hi /= 2;
   }
   return proof;
 }
@@ -191,7 +260,7 @@ Status MerkleTree::VerifyRange(const std::vector<Hash256>& leaf_hashes,
     if (i < nodes.size()) next.push_back(nodes[i]);
     nodes = std::move(next);
     cur_lo /= 2;
-    width = (width + 1) / 2;
+    width = ParentWidth(width);
   }
   if (used != proof.hashes.size()) {
     return Status::AuthFailure("range proof has extra nodes");

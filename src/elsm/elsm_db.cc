@@ -28,10 +28,6 @@ lsm::LsmOptions MakeEngineOptions(const Options& o) {
   eo.read_cache_shards = o.read_cache_shards;
   eo.multiget_batching = o.multiget_batching;
   eo.scan_readahead_blocks = o.scan_readahead_blocks;
-  // The facade persists the manifest; compacted-away files may only be
-  // unlinked after the manifest dropping them is durable (crash safety),
-  // so the engine parks them and the facade purges post-persist.
-  eo.defer_obsolete_deletion = true;
   switch (o.mode) {
     case Mode::kP1:
       // P1 keeps the whole read path in enclave memory; mmap files cannot

@@ -4,6 +4,7 @@
 
 #include "common/coding.h"
 #include "crypto/sha256.h"
+#include "storage/mmap.h"
 
 namespace elsm::lsm {
 namespace {
@@ -46,8 +47,7 @@ LsmEngine::LsmEngine(LsmOptions options, std::shared_ptr<sgx::Enclave> enclave,
       enclave_(std::move(enclave)),
       fs_(std::move(fs)),
       memtable_(std::make_unique<SkipList>()),
-      tracker_(std::make_shared<FileTracker>(
-          fs_, options_.defer_obsolete_deletion)),
+      tracker_(std::make_shared<FileTracker>(fs_)),
       version_(std::make_shared<Version>(std::vector<LevelMeta>{}, tracker_)),
       wal_(fs_.get(), options_.name + "/wal") {
   memtable_region_ = enclave_->RegisterRegion(options_.memtable_bytes);
@@ -392,21 +392,12 @@ Result<std::shared_ptr<const std::string>> LsmEngine::ReadBlock(
     }
   }
   if (options_.read_path == ReadPathKind::kMmap) {
-    // Find-or-open under the cache lock, then copy the region handle out (it
-    // only pins a blob) so the read + block copy run without serializing
-    // concurrent readers.
-    std::optional<storage::MmapRegion> region;
-    {
-      std::lock_guard<std::mutex> lock(mmaps_mu_);
-      auto it = mmaps_.find(file.name);
-      if (it == mmaps_.end()) {
-        auto opened = storage::MmapRegion::Open(*fs_, file.name);
-        if (!opened.ok()) return opened.status();
-        it = mmaps_.emplace(file.name, std::move(opened).value()).first;
-      }
-      region = it->second;
-    }
-    auto view = region->Read(block.offset, block.size);
+    // Mapped once per file: the region hangs on the FileMeta that every
+    // snapshot carrying the file shares.
+    auto region = file.mmap->GetOrMake<storage::MmapRegion>(
+        [&] { return storage::MmapRegion::Open(*fs_, file.name); });
+    if (!region.ok()) return region.status();
+    auto view = region.value()->Read(block.offset, block.size);
     if (!view.ok()) return view.status();
     auto bytes = std::make_shared<const std::string>(view.value());
     Status s = CheckBlock(file, block, *bytes, /*admission=*/false);
@@ -512,7 +503,6 @@ std::vector<LsmEngine::MultiGetItem> LsmEngine::MultiGet(
   std::vector<MultiGetItem> out(keys.size());
   if (keys.empty()) return out;
   stats_.gets.fetch_add(keys.size(), std::memory_order_relaxed);
-  PurgeDeadCaches();
   std::vector<bool> done(keys.size(), false);
   std::shared_ptr<const Version> snapshot;
   {
@@ -686,7 +676,6 @@ Status LsmEngine::LookupInLevel(const LevelMeta& level, std::string_view key,
 Result<ScanResponse> LsmEngine::Scan(std::string_view k1,
                                      std::string_view k2) {
   stats_.scans.fetch_add(1, std::memory_order_relaxed);
-  PurgeDeadCaches();
   ScanResponse resp;
   {
     // L0: trusted scan of the memtables (newest visible version per key) —
@@ -1245,11 +1234,11 @@ Status LsmEngine::FinalizeLevel(LevelBuild* build, const CompactionSeal& seal) {
   if (!s.ok()) return s;
   build->level.root = seal.root;
   build->level.leaf_count = seal.leaf_count;
-  if (!seal.tree_payload.empty()) {
+  if (seal.tree_payload != nullptr) {
     build->level.tree_file = NewFileName(".tree");
     enclave_->ChargeOcall();
     s = RetryIo([&]() -> Status {
-      Status ws = fs_->Write(build->level.tree_file, seal.tree_payload);
+      Status ws = fs_->Write(build->level.tree_file, *seal.tree_payload);
       if (!ws.ok()) return ws;
       return options_.sync_writes ? fs_->Sync(build->level.tree_file)
                                   : Status::Ok();
@@ -1285,26 +1274,10 @@ void LsmEngine::InstallVersion(std::vector<LevelMeta> levels,
     }
   }
   // Release the retired version outside the lock: if it was the last
-  // snapshot, its levels' sidecar handles are freed with it.
+  // snapshot, its files' mmap regions and levels' sidecars are freed with
+  // it.
   next.reset();
   for (const std::string& name : obsolete_files) tracker_->MarkObsolete(name);
-  PurgeDeadCaches();
-}
-
-void LsmEngine::PurgeDeadCaches() {
-  // Called on version installs and polled by reads: deferred deletions fire
-  // on the reader thread that drops the last snapshot, which may never be
-  // followed by another install.
-  if (!tracker_->has_deleted()) return;
-  const std::vector<std::string> deleted = tracker_->DrainDeleted();
-  if (deleted.empty()) return;
-  {
-    std::lock_guard<std::mutex> lock(mmaps_mu_);
-    for (const std::string& name : deleted) mmaps_.erase(name);
-  }
-  for (const std::string& name : deleted) {
-    if (read_buffer_ != nullptr) read_buffer_->Invalidate(name);
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -1349,14 +1322,10 @@ Status LsmEngine::RestoreManifest(std::string_view manifest) {
     edit_seq_ = 0;
     edit_log_.clear();
   }
-  {
-    std::lock_guard<std::mutex> lock(mmaps_mu_);
-    mmaps_.clear();
-  }
   // The restored stack may reuse file names with different contents (a
   // crash can lose files numbered past the restored high-water mark), and
-  // the buffer keys blocks on (file, offset): drop every cached block with
-  // the mmap handles.
+  // the buffer keys blocks on (file, offset): drop every cached block. The
+  // restored FileMetas map their files afresh.
   if (read_buffer_ != nullptr) read_buffer_->Clear();
   return Status::Ok();
 }
@@ -1427,8 +1396,9 @@ Status LsmEngine::ReinsertFromWal(Record record) {
 }
 
 void LsmEngine::PurgeObsoleteFiles() {
-  tracker_->PurgeParked();
-  PurgeDeadCaches();
+  const std::vector<std::string> deleted = tracker_->PurgeParked();
+  if (read_buffer_ == nullptr) return;
+  for (const std::string& name : deleted) read_buffer_->Invalidate(name);
 }
 
 Status LsmEngine::ResetWal() {

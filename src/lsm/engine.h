@@ -19,8 +19,10 @@
 // active memtable and merges it like any other sealed memtable, and every
 // compaction runs the streaming merge.
 //
-// Read paths (§5.5.1): mmap (direct untrusted-memory access) or a
-// user-space ReadBuffer placed outside (P2) or inside (P1) the enclave.
+// Read paths (§5.5.1): mmap (direct untrusted-memory access; a file is
+// mapped on its first read and the region hangs on its FileMeta, so it
+// lives as long as a snapshot that can read the file) or a user-space
+// ReadBuffer placed outside (P2) or inside (P1) the enclave.
 // Every block's one integrity tag is the SHA-256 digest sealed in its
 // BlockHandle, and CheckBlock is the one routine that checks it: with
 // `protect_blocks` (P1) on every load, charged as the SDK's one-pass
@@ -35,10 +37,11 @@
 // used. Structural changes (flush, compaction) serialize on an internal
 // compaction mutex, do their merge work without blocking readers, and
 // install the new version with one brief exclusive swap. Compacted-away
-// files are refcounted (FileTracker) and deleted only when the last
-// snapshot using them dies. The engine runs no threads: which flush or
-// compaction runs in the background is the facade's choice (ElsmDb runs
-// them as common::BackgroundJobs), as in LevelDB's DBImpl.
+// files are refcounted (FileTracker): once the last snapshot using them
+// dies they are parked, and PurgeObsoleteFiles deletes them after the
+// owner's manifest stops referencing them. The engine runs no threads:
+// which flush or compaction runs in the background is the facade's choice
+// (ElsmDb runs them as common::BackgroundJobs), as in LevelDB's DBImpl.
 #pragma once
 
 #include <atomic>
@@ -63,7 +66,6 @@
 #include "lsm/sstable.h"
 #include "lsm/version.h"
 #include "sgxsim/enclave.h"
-#include "storage/mmap.h"
 #include "storage/read_buffer.h"
 #include "storage/fs.h"
 #include "storage/wal.h"
@@ -108,10 +110,6 @@ struct LsmOptions {
   // WAL before acknowledging, and SSTables/tree sidecars before they can
   // be referenced by a manifest. No-op on SimFs, real fsyncs on PosixFs.
   bool sync_writes = true;
-  // Park compacted-away files instead of unlinking them; the owner calls
-  // PurgeObsoleteFiles() once the manifest dropping them is durable. Keeps
-  // a crash between version swap and manifest persist recoverable.
-  bool defer_obsolete_deletion = false;
   // Bounded retry for transient storage faults (Status::IsTransient) on the
   // retry-safe write paths: WAL append+sync (with tail repair between
   // attempts), SSTable/tree-sidecar installs (atomic whole-file replace),
@@ -147,7 +145,8 @@ struct CompactionSeal {
   std::vector<std::string> proof_blobs;
   crypto::Hash256 root = crypto::kZeroHash;
   uint64_t leaf_count = 0;
-  std::string tree_payload;  // written as the level's sidecar when non-empty
+  // The level's Merkle tree image, written as its sidecar when set.
+  std::shared_ptr<const std::string> tree_payload;
 };
 
 // The streaming compaction protocol. One compaction = OnCompactionBegin,
@@ -374,8 +373,9 @@ class LsmEngine {
   Status MaybeCompact();
   // Force-merges the whole stack into a single deepest level.
   Status CompactAll();
-  // Physically deletes files parked under defer_obsolete_deletion. Call
-  // after persisting a manifest that no longer references them.
+  // Compacted-away files are parked, not unlinked (see FileTracker). This
+  // deletes the parked files and drops their cached blocks; call it after
+  // persisting a manifest that no longer references them.
   void PurgeObsoleteFiles();
 
   // Live level stack. Single-threaded callers only: a concurrent compaction
@@ -581,7 +581,6 @@ class LsmEngine {
   void InstallVersion(std::vector<LevelMeta> levels, MemtableReset reset,
                       const std::vector<std::string>& obsolete_files,
                       std::string encoded_edit = std::string());
-  void PurgeDeadCaches();
   void UpdatePeakResident(uint64_t resident_bytes);
 
   void ChargeMetadataAccess(size_t level_pos) const;
@@ -646,8 +645,6 @@ class LsmEngine {
   std::atomic<uint64_t> wal_committed_bytes_{0};
   bool wal_dirty_ = false;
   std::unique_ptr<storage::ReadBuffer> read_buffer_;
-  mutable std::mutex mmaps_mu_;
-  mutable std::unordered_map<std::string, storage::MmapRegion> mmaps_;
   sgx::RegionId memtable_region_ = 0;
   sgx::RegionId metadata_region_ = 0;
   mutable EngineStats stats_;

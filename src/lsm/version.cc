@@ -123,7 +123,7 @@ void FileTracker::Unref(const std::string& name) {
   if (it == refs_.end()) return;
   if (--it->second > 0) return;
   refs_.erase(it);
-  if (obsolete_.erase(name) > 0) DeleteLocked(name);
+  if (obsolete_.erase(name) > 0) parked_.insert(name);
 }
 
 void FileTracker::MarkObsolete(const std::string& name) {
@@ -131,38 +131,16 @@ void FileTracker::MarkObsolete(const std::string& name) {
   if (refs_.count(name) > 0) {
     obsolete_.insert(name);
   } else {
-    DeleteLocked(name);
-  }
-}
-
-std::vector<std::string> FileTracker::DrainDeleted() {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::string> out;
-  out.swap(deleted_);
-  has_deleted_.store(false, std::memory_order_relaxed);
-  return out;
-}
-
-void FileTracker::DeleteLocked(const std::string& name) {
-  if (defer_deletion_) {
-    // Still readable on disk (the last durable manifest may reference it);
-    // PurgeParked unlinks it after the next manifest persist.
     parked_.insert(name);
-    return;
   }
-  (void)fs_->Delete(name);
-  deleted_.push_back(name);
-  has_deleted_.store(true, std::memory_order_relaxed);
 }
 
-void FileTracker::PurgeParked() {
+std::vector<std::string> FileTracker::PurgeParked() {
   std::lock_guard<std::mutex> lock(mu_);
-  for (const std::string& name : parked_) {
-    (void)fs_->Delete(name);
-    deleted_.push_back(name);
-  }
-  if (!parked_.empty()) has_deleted_.store(true, std::memory_order_relaxed);
+  std::vector<std::string> deleted(parked_.begin(), parked_.end());
+  for (const std::string& name : deleted) (void)fs_->Delete(name);
   parked_.clear();
+  return deleted;
 }
 
 Version::Version(std::vector<LevelMeta> levels,

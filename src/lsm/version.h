@@ -43,20 +43,11 @@ struct BlockHandle {
   crypto::Hash256 digest = crypto::kZeroHash;
 };
 
-struct FileMeta {
-  std::string name;
-  std::string smallest;
-  std::string largest;
-  uint64_t size = 0;
-  uint64_t num_records = 0;
-  std::vector<BlockHandle> blocks;
-};
-
-// An object the auth layer builds for a level on first use and hangs on
-// it. Every copy of the LevelMeta shares the slot, so each Version that
-// carries the level unchanged reuses one object, and the last such Version
-// to die frees it. Readers after the first take no lock.
-class LevelAttachment {
+// An object a reader builds for a file or level on first use and hangs on
+// its metadata. Every copy of the FileMeta or LevelMeta shares the slot, so
+// each Version that carries it unchanged reuses one object, and the last
+// such Version to die frees it. Readers after the first take no lock.
+class Attachment {
  public:
   // The attached T, built by `make` (returning Result<T>) on first use. A
   // failed build attaches nothing, so a later call retries. Every caller
@@ -85,6 +76,18 @@ class LevelAttachment {
   std::atomic<const void*> object_{nullptr};
 };
 
+struct FileMeta {
+  std::string name;
+  std::string smallest;
+  std::string largest;
+  uint64_t size = 0;
+  uint64_t num_records = 0;
+  std::vector<BlockHandle> blocks;
+  // The file's storage::MmapRegion, mapped by the mmap read path on first
+  // use.
+  std::shared_ptr<Attachment> mmap = std::make_shared<Attachment>();
+};
+
 struct LevelMeta {
   std::vector<FileMeta> files;
   uint64_t num_records = 0;
@@ -95,9 +98,9 @@ struct LevelMeta {
   crypto::Hash256 root = crypto::kZeroHash;
   uint64_t leaf_count = 0;      // distinct keys in the level
   std::string tree_file;        // untrusted Merkle-node sidecar
-  // tree_file's reader, opened by the proof assembler on first use.
-  std::shared_ptr<LevelAttachment> sidecar =
-      std::make_shared<LevelAttachment>();
+  // tree_file opened as a crypto::MerkleTree by the proof assembler on
+  // first use.
+  std::shared_ptr<Attachment> sidecar = std::make_shared<Attachment>();
 
   // Approximate enclave-metadata footprint of this level (indexes+bloom).
   uint64_t MetadataBytes() const;
@@ -139,55 +142,38 @@ struct VersionEdit {
   Status ApplyTo(std::vector<LevelMeta>* levels) const;
 };
 
-// Thread-safe refcount of the on-disk files live Versions pin. A file is
-// physically deleted once it is both obsolete (dropped from the current
+// Thread-safe refcount of the on-disk files live Versions pin. A file
+// becomes deletable once it is both obsolete (dropped from the current
 // version by a compaction) and unreferenced (the last snapshot that could
-// read it has been released). Deletions are recorded so the engine can
-// purge its mmap/block caches lazily.
-//
-// With `defer_deletion`, files that become deletable are *parked* instead
-// of unlinked; PurgeParked() performs the physical deletes. The facade
-// purges only after the manifest that stops referencing those files is
-// durable — otherwise a crash between a compaction's version swap and its
-// manifest persist would leave the recovered (old) manifest pointing at
-// vanished files.
+// read it has been released). Deletable files are *parked*, not unlinked;
+// PurgeParked() performs the physical deletes. The facade purges only after
+// the manifest that stops referencing those files is durable — otherwise a
+// crash between a compaction's version swap and its manifest persist would
+// leave the recovered (old) manifest pointing at vanished files.
 class FileTracker {
  public:
-  explicit FileTracker(std::shared_ptr<storage::Fs> fs,
-                       bool defer_deletion = false)
-      : fs_(std::move(fs)), defer_deletion_(defer_deletion) {}
+  explicit FileTracker(std::shared_ptr<storage::Fs> fs) : fs_(std::move(fs)) {}
 
   void Ref(const std::string& name);
   void Unref(const std::string& name);
-  // Marks `name` dead-on-last-unref; deletes immediately if unreferenced.
+  // Marks `name` dead-on-last-unref; parks it at once if unreferenced.
   void MarkObsolete(const std::string& name);
-  // Physically deletes every parked file (defer_deletion mode). Call once
-  // the manifest no longer referencing them has been persisted.
-  void PurgeParked();
-  // Names deleted since the last drain (for cache invalidation).
-  std::vector<std::string> DrainDeleted();
-  // Cheap pre-check for DrainDeleted (one relaxed atomic load), so the
-  // read path can poll without taking the mutex.
-  bool has_deleted() const {
-    return has_deleted_.load(std::memory_order_relaxed);
-  }
+  // Physically deletes every parked file and returns their names (for
+  // cache invalidation). Call once the manifest no longer referencing them
+  // has been persisted.
+  std::vector<std::string> PurgeParked();
 
  private:
-  void DeleteLocked(const std::string& name);
-
   std::shared_ptr<storage::Fs> fs_;
-  const bool defer_deletion_;
   std::mutex mu_;
   std::map<std::string, int> refs_;
   std::set<std::string> obsolete_;
   std::set<std::string> parked_;  // deletable, awaiting a durable manifest
-  std::vector<std::string> deleted_;
-  std::atomic<bool> has_deleted_{false};
 };
 
 // An immutable snapshot of the level stack. Construction pins every SSTable
 // and tree-sidecar file in the tracker; destruction unpins them, which may
-// trigger the deferred deletion of compacted-away inputs.
+// park compacted-away inputs for deletion.
 class Version {
  public:
   Version(std::vector<LevelMeta> levels, std::shared_ptr<FileTracker> tracker);

@@ -22,6 +22,9 @@ class MmapRegion {
   // Reads [offset, offset+len) as a view; charges untrusted-memory access.
   Result<std::string_view> Read(uint64_t offset, uint64_t len) const;
   uint64_t size() const { return data_->size(); }
+  // The mapped bytes, for a reader that keeps them (and charges its own
+  // reads).
+  const std::shared_ptr<const std::string>& blob() const { return data_; }
 
  private:
   MmapRegion(std::shared_ptr<const std::string> data, sgx::Enclave* enclave)

@@ -1,7 +1,10 @@
 // Unit tests for the auth module: embedded-proof codec, the Merkle sidecar
-// (TreeFile), level digest/seal construction, the WAL digest chain, and
-// verifier edge cases not covered by the end-to-end security tests.
+// (a level's tree file, opened as a crypto::MerkleTree), level digest/seal
+// construction, the WAL digest chain, and verifier edge cases not covered
+// by the end-to-end security tests.
 #include <gtest/gtest.h>
+
+#include <optional>
 
 #include "auth/level_builder.h"
 #include "auth/listener.h"
@@ -153,7 +156,9 @@ TEST(LevelBuilderTest, EmbeddedPathsArriveWithTheSeal) {
       SealRun(records, embed_enclave.get(), true);
   EXPECT_EQ(embedded.root, plain.root);
   EXPECT_EQ(embedded.leaf_count, plain.leaf_count);
-  EXPECT_EQ(embedded.tree_payload, plain.tree_payload);
+  ASSERT_NE(plain.tree_payload, nullptr);
+  ASSERT_NE(embedded.tree_payload, nullptr);
+  EXPECT_EQ(*embedded.tree_payload, *plain.tree_payload);
   EXPECT_EQ(embed_enclave->now_ns(), plain_enclave->now_ns());
   ASSERT_EQ(embedded.proof_blobs.size(), records.size());
   for (size_t i = 0; i < records.size(); ++i) {
@@ -176,6 +181,8 @@ TEST(LevelBuilderTest, EmptyRunYieldsEmptySeal) {
   EXPECT_TRUE(seal.proof_blobs.empty());
 }
 
+// The tree sidecar (a level's `.tree` file) is the image of its
+// crypto::MerkleTree; the host opens the stored file as a tree.
 TEST(TreeFileTest, SiblingsMatchInMemoryTree) {
   auto enclave = MakeEnclave();
   storage::SimFs fs(enclave);
@@ -184,14 +191,12 @@ TEST(TreeFileTest, SiblingsMatchInMemoryTree) {
     leaves.push_back(crypto::Sha256::Digest(test_util::Cat("leaf", i)));
   }
   crypto::MerkleTree tree(leaves);
-  ASSERT_TRUE(fs.Write("t.tree", TreeFile::Serialize(tree)).ok());
-  auto file = TreeFile::Open(fs, "t.tree");
+  ASSERT_TRUE(fs.Write("t.tree", *tree.image()).ok());
+  auto file = crypto::MerkleTree::Open(fs.Blob("t.tree"));
   ASSERT_TRUE(file.ok());
   EXPECT_EQ(file.value().leaf_count(), 37u);
   for (uint64_t i = 0; i < 37; ++i) {
-    auto path = file.value().Siblings(i);
-    ASSERT_TRUE(path.ok());
-    EXPECT_EQ(path.value().siblings, tree.Path(i).siblings) << i;
+    EXPECT_EQ(file.value().Path(i).siblings, tree.Path(i).siblings) << i;
   }
 }
 
@@ -203,24 +208,82 @@ TEST(TreeFileTest, RangeProofMatchesInMemoryTree) {
     leaves.push_back(crypto::Sha256::Digest(test_util::Cat("leaf", i)));
   }
   crypto::MerkleTree tree(leaves);
-  ASSERT_TRUE(fs.Write("t.tree", TreeFile::Serialize(tree)).ok());
-  auto file = TreeFile::Open(fs, "t.tree");
+  ASSERT_TRUE(fs.Write("t.tree", *tree.image()).ok());
+  auto file = crypto::MerkleTree::Open(fs.Blob("t.tree"));
   ASSERT_TRUE(file.ok());
   for (uint64_t lo = 0; lo < 64; lo += 13) {
     for (uint64_t hi = lo; hi < 64; hi += 7) {
-      auto proof = file.value().RangeProof(lo, hi);
-      ASSERT_TRUE(proof.ok());
-      EXPECT_EQ(proof.value().hashes, tree.RangeProof(lo, hi).hashes);
+      EXPECT_EQ(file.value().RangeProof(lo, hi).hashes,
+                tree.RangeProof(lo, hi).hashes);
     }
   }
 }
 
+// A one-key level whose record claims `leaf_index`, and the response the
+// engine would return for its key.
+struct OneKeyLevel {
+  std::vector<lsm::LevelMeta> levels = std::vector<lsm::LevelMeta>(1);
+  lsm::GetResponse get;
+  lsm::ScanResponse scan;
+};
+
+OneKeyLevel MakeOneKeyLevel(const std::string& tree_file,
+                            uint64_t leaf_index) {
+  OneKeyLevel out;
+  out.levels[0].leaf_count = 1;
+  out.levels[0].tree_file = tree_file;
+  EmbeddedProof proof;
+  proof.leaf_index = leaf_index;
+  lsm::RawEntry raw;
+  raw.record = MakeRecord("k", "v", 1);
+  raw.core = raw.record.EncodeCore();
+  raw.proof_blob = proof.Encode();
+  lsm::LevelGetResult level;
+  level.found = true;
+  level.chain.push_back(raw);
+  out.get.levels.push_back(level);
+  lsm::LevelScanResult scan_level;
+  scan_level.heads.push_back(raw);
+  out.scan.levels.push_back(scan_level);
+  return out;
+}
+
 TEST(TreeFileTest, OpenRejectsTruncatedFile) {
   auto enclave = MakeEnclave();
-  storage::SimFs fs(enclave);
-  ASSERT_TRUE(fs.Write("t.tree", "shrt").ok());
-  EXPECT_FALSE(TreeFile::Open(fs, "t.tree").ok());
-  EXPECT_FALSE(TreeFile::Open(fs, "missing.tree").ok());
+  auto fs = std::make_shared<storage::SimFs>(enclave);
+  ASSERT_TRUE(fs->Write("t.tree", "shrt").ok());
+  EXPECT_FALSE(crypto::MerkleTree::Open(fs->Blob("t.tree")).ok());
+  // The host assembling a proof from a truncated or missing sidecar fails.
+  ProofAssembler assembler(fs);
+  for (const char* name : {"t.tree", "missing.tree"}) {
+    const OneKeyLevel level = MakeOneKeyLevel(name, 0);
+    EXPECT_FALSE(assembler.AssembleGet(level.get, level.levels).ok()) << name;
+  }
+}
+
+TEST(TreeFileTest, AssemblerRejectsIndicesBeyondTheSidecar) {
+  // The sidecar and the embedded leaf indices are untrusted: an index or
+  // range end at or beyond the tree's leaf count is Corruption, not a read
+  // past the image.
+  auto enclave = MakeEnclave();
+  auto fs = std::make_shared<storage::SimFs>(enclave);
+  const crypto::MerkleTree tree({crypto::Sha256::Digest("leaf")});
+  ASSERT_TRUE(fs->Write("t.tree", *tree.image()).ok());
+  ProofAssembler assembler(fs);
+  for (uint64_t index : {uint64_t{1}, uint64_t{7}, UINT64_MAX}) {
+    const OneKeyLevel level = MakeOneKeyLevel("t.tree", index);
+    EXPECT_TRUE(assembler.AssembleGet(level.get, level.levels)
+                    .status()
+                    .IsCorruption())
+        << index;
+    EXPECT_TRUE(assembler.AssembleScan(level.scan, level.levels)
+                    .status()
+                    .IsCorruption())
+        << index;
+  }
+  const OneKeyLevel honest = MakeOneKeyLevel("t.tree", 0);
+  EXPECT_TRUE(assembler.AssembleGet(honest.get, honest.levels).ok());
+  EXPECT_TRUE(assembler.AssembleScan(honest.scan, honest.levels).ok());
 }
 
 TEST(WalDigestTest, OrderAndContentSensitive) {
@@ -346,6 +409,138 @@ TEST(VerifierTest, MemtableHitWithTrailingLevelsRejected) {
                   .status()
                   .IsAuthFailure());
 }
+
+// The cached climb checks a path's length and index exactly as
+// MerkleTree::VerifyPath does, whether the path cache is off, cold, or warm
+// (a neighbour verified first, so the climb stops at their shared parent).
+enum class PathCacheMode { kOff, kCold, kWarm };
+
+class VerifierClimbTest : public ::testing::TestWithParam<PathCacheMode> {
+ protected:
+  // 37 keys: levels 37, 19, 10, 5, 3, 2, 1 carry odd nodes up.
+  static constexpr uint64_t kLeaves = 37;
+  static constexpr uint64_t kLeaf = 20;  // paired with leaf 21
+
+  void SetUp() override {
+    for (uint64_t i = 0; i < kLeaves; ++i) {
+      records_.push_back(MakeRecord(test_util::Cat("k", 100 + i),
+                                    test_util::Cat("v", i), 10 + i));
+    }
+    seal_ = SealRun(records_, enclave_.get(), false);
+    levels_[0].root = seal_.root;
+    levels_[0].leaf_count = seal_.leaf_count;
+    auto sidecar = crypto::MerkleTree::Open(seal_.tree_payload);
+    ASSERT_TRUE(sidecar.ok());
+    sidecar_.emplace(std::move(sidecar).value());
+    verifier_ = std::make_unique<Verifier>(
+        enclave_.get(), GetParam() == PathCacheMode::kOff ? 0 : 4096);
+    if (GetParam() == PathCacheMode::kWarm) {
+      ASSERT_TRUE(Verify(Proof(kLeaf ^ 1)).ok());
+    }
+  }
+
+  // The honest proof of leaf `i`, as the assembler builds it.
+  AssembledGet Proof(uint64_t i) const {
+    AssembledEntry entry;
+    entry.entry.record = records_[i];
+    entry.entry.core = records_[i].EncodeCore();
+    entry.proof = EmbeddedProof::Decode(seal_.proof_blobs[i]).value();
+    AssembledLevel level;
+    level.found = true;
+    level.chain.push_back(entry);
+    level.chain_path = sidecar_->Path(i);
+    AssembledGet proof;
+    proof.levels.push_back(level);
+    return proof;
+  }
+
+  // Moves the proof's claimed leaf index (record and path agree).
+  static void Reindex(AssembledGet* proof, uint64_t index) {
+    proof->levels[0].chain[0].proof.leaf_index = index;
+    proof->levels[0].chain_path.leaf_index = index;
+  }
+
+  Status Verify(const AssembledGet& proof) {
+    const std::string& key = proof.levels[0].chain[0].entry.record.key;
+    return verifier_->VerifyGet(key, UINT64_MAX, proof, levels_).status();
+  }
+
+  crypto::MerklePath& PathOf(AssembledGet* proof) {
+    return proof->levels[0].chain_path;
+  }
+
+  std::shared_ptr<sgx::Enclave> enclave_ = MakeEnclave();
+  std::vector<lsm::Record> records_;
+  lsm::CompactionSeal seal_;
+  std::optional<crypto::MerkleTree> sidecar_;  // the level's opened sidecar
+  std::vector<lsm::LevelMeta> levels_ = std::vector<lsm::LevelMeta>(1);
+  std::unique_ptr<Verifier> verifier_;
+};
+
+TEST_P(VerifierClimbTest, HonestProofPasses) {
+  const ProofPathCacheStats before = verifier_->path_cache_stats();
+  ASSERT_TRUE(Verify(Proof(kLeaf)).ok());
+  const ProofPathCacheStats after = verifier_->path_cache_stats();
+  const uint64_t hashed = after.path_nodes_hashed - before.path_nodes_hashed;
+  switch (GetParam()) {
+    case PathCacheMode::kOff:
+      EXPECT_EQ(after.lookups, 0u);
+      break;
+    case PathCacheMode::kCold:
+      EXPECT_EQ(hashed, crypto::MerkleTree::Height(kLeaves));
+      break;
+    case PathCacheMode::kWarm:
+      // The climb stops at the parent the neighbour cached.
+      EXPECT_EQ(hashed, 1u);
+      EXPECT_EQ(after.hits, before.hits + 1);
+      break;
+  }
+}
+
+TEST_P(VerifierClimbTest, PathOneSiblingShortRejected) {
+  AssembledGet proof = Proof(kLeaf);
+  PathOf(&proof).siblings.pop_back();
+  EXPECT_TRUE(Verify(proof).IsAuthFailure());
+}
+
+TEST_P(VerifierClimbTest, PathOneSiblingExtraRejected) {
+  AssembledGet proof = Proof(kLeaf);
+  PathOf(&proof).siblings.push_back(crypto::kZeroHash);
+  EXPECT_TRUE(Verify(proof).IsAuthFailure());
+}
+
+TEST_P(VerifierClimbTest, LeafIndexAtOrBeyondCountRejected) {
+  for (uint64_t index : {kLeaves, kLeaves + 1, UINT64_MAX}) {
+    AssembledGet proof = Proof(kLeaf);
+    Reindex(&proof, index);
+    EXPECT_TRUE(Verify(proof).IsAuthFailure()) << index;
+  }
+}
+
+TEST_P(VerifierClimbTest, FlippedSiblingAtOrBelowCachedNodeRejected) {
+  // The first sibling is hashed below every cached node: the warm climb's
+  // lowest cached node is the parent it produces, the cold climb's the
+  // root.
+  AssembledGet proof = Proof(kLeaf);
+  PathOf(&proof).siblings.front()[0] ^= 0x01;
+  EXPECT_TRUE(Verify(proof).IsAuthFailure());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PathCache, VerifierClimbTest,
+    ::testing::Values(PathCacheMode::kOff, PathCacheMode::kCold,
+                      PathCacheMode::kWarm),
+    [](const ::testing::TestParamInfo<PathCacheMode>& info) {
+      switch (info.param) {
+        case PathCacheMode::kOff:
+          return "Off";
+        case PathCacheMode::kCold:
+          return "Cold";
+        case PathCacheMode::kWarm:
+          return "Warm";
+      }
+      return "Unknown";
+    });
 
 }  // namespace
 }  // namespace elsm::auth

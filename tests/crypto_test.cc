@@ -142,9 +142,11 @@ TEST(CipherTest, DeterministicDecryptRejectsTamper) {
 TEST(HashChainTest, SingleRecordChain) {
   const std::vector<std::string> encs{"record-a"};
   EXPECT_EQ(ChainDigest(encs), ChainBase("record-a"));
-  const auto suffixes = ChainSuffixes(encs);
+  Hash256 leaf{};
+  const auto suffixes = ChainSuffixes(encs, &leaf);
   ASSERT_EQ(suffixes.size(), 1u);
   EXPECT_FALSE(suffixes[0].present);
+  EXPECT_EQ(leaf, ChainBase("record-a"));
 }
 
 TEST(HashChainTest, ChainStructureMatchesPaperExample) {
@@ -156,8 +158,10 @@ TEST(HashChainTest, ChainStructureMatchesPaperExample) {
 TEST(HashChainTest, SuffixesRebuildLeaf) {
   const std::vector<std::string> encs{"r1", "r2", "r3", "r4"};
   const Hash256 leaf = ChainDigest(encs);
-  const auto suffixes = ChainSuffixes(encs);
+  Hash256 walked{};
+  const auto suffixes = ChainSuffixes(encs, &walked);
   ASSERT_EQ(suffixes.size(), 4u);
+  EXPECT_EQ(walked, leaf);  // the suffix walk ends on the leaf
   // Rebuild from any prefix length.
   for (size_t k = 1; k <= encs.size(); ++k) {
     std::vector<std::string_view> prefix;

@@ -1,10 +1,14 @@
 // Merkle tree tests: membership paths and range proofs across a sweep of
-// tree sizes (property-style via TEST_P), adjacency semantics, tamper and
+// tree sizes (property-style via TEST_P), the tree image (the sidecar
+// format) and trees opened from it, adjacency semantics, tamper and
 // malformed-proof rejection, and wire-format round trips.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
 #include <vector>
 
+#include "common/coding.h"
 #include "crypto/merkle.h"
 #include "str_cat.h"
 
@@ -20,7 +24,69 @@ std::vector<Hash256> MakeLeaves(uint64_t n) {
   return leaves;
 }
 
+std::shared_ptr<const std::string> Image(std::string bytes) {
+  return std::make_shared<const std::string>(std::move(bytes));
+}
+
+std::string Bytes(const Hash256& h) {
+  return std::string(reinterpret_cast<const char*>(h.data()), h.size());
+}
+
 class MerkleSizeTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(MerkleSizeTest, ImageIsTheSidecarLayout) {
+  // A fixed64 leaf count, then every level's 32-byte nodes, leaves first:
+  // the layout of every tree sidecar already on disk.
+  const uint64_t n = GetParam();
+  const std::vector<Hash256> leaves = MakeLeaves(n);
+  const MerkleTree tree(leaves);
+  const std::string& image = *tree.image();
+  uint64_t nodes = 0;
+  for (uint64_t width = n;; width = (width + 1) / 2) {
+    nodes += width;
+    if (width <= 1) break;
+  }
+  ASSERT_EQ(image.size(), 8 + 32 * nodes);
+  std::string_view header(image);
+  uint64_t leaf_count = 0;
+  ASSERT_TRUE(GetFixed64(&header, &leaf_count));
+  EXPECT_EQ(leaf_count, n);
+  for (uint64_t i = 0; i < n; ++i) {
+    EXPECT_EQ(image.substr(8 + 32 * i, 32), Bytes(leaves[i])) << i;
+  }
+  EXPECT_EQ(image.substr(image.size() - 32), Bytes(tree.root()));
+}
+
+TEST_P(MerkleSizeTest, OpenedImageServesTheSameProofs) {
+  const uint64_t n = GetParam();
+  const MerkleTree tree(MakeLeaves(n));
+  // A copy of the image, as the host maps it back from its sidecar file.
+  auto opened = MerkleTree::Open(Image(*tree.image()));
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  const MerkleTree& file = opened.value();
+  EXPECT_EQ(file.leaf_count(), n);
+  EXPECT_EQ(file.root(), tree.root());
+  for (uint64_t i = 0; i < n; ++i) {
+    EXPECT_EQ(file.leaf(i), tree.leaf(i)) << i;
+    EXPECT_EQ(file.Path(i).siblings, tree.Path(i).siblings) << i;
+  }
+  // Every range AllRangesVerify sweeps, and the prefix (plus a stride of
+  // ranges) on the larger trees.
+  auto same_range = [&](uint64_t lo, uint64_t hi) {
+    EXPECT_EQ(file.RangeProof(lo, hi).hashes, tree.RangeProof(lo, hi).hashes)
+        << "n=" << n << " [" << lo << "," << hi << "]";
+  };
+  if (n <= 64) {
+    for (uint64_t lo = 0; lo < n; ++lo) {
+      for (uint64_t hi = lo; hi < n; ++hi) same_range(lo, hi);
+    }
+  } else {
+    same_range(0, 5);
+    for (uint64_t lo = 0; lo < n; lo += n / 13 + 1) {
+      for (uint64_t hi = lo; hi < n; hi += n / 7 + 1) same_range(lo, hi);
+    }
+  }
+}
 
 TEST_P(MerkleSizeTest, EveryPathVerifies) {
   const uint64_t n = GetParam();
@@ -81,6 +147,51 @@ TEST(MerkleTest, EmptyTreeHasZeroRoot) {
   MerkleTree tree({});
   EXPECT_EQ(tree.root(), kZeroHash);
   EXPECT_EQ(tree.leaf_count(), 0u);
+  EXPECT_EQ(tree.image()->size(), 8u);  // the leaf count alone
+  auto opened = MerkleTree::Open(tree.image());
+  ASSERT_TRUE(opened.ok());
+  EXPECT_EQ(opened.value().leaf_count(), 0u);
+  EXPECT_EQ(opened.value().root(), kZeroHash);
+}
+
+TEST(MerkleTest, OpenRejectsShortHeader) {
+  for (const std::string& bytes : {std::string(), std::string("shrt"),
+                                   std::string(7, '\0')}) {
+    EXPECT_TRUE(MerkleTree::Open(Image(bytes)).status().IsCorruption())
+        << bytes.size();
+  }
+}
+
+TEST(MerkleTest, OpenRejectsSizeMismatch) {
+  const std::string image = *MerkleTree(MakeLeaves(11)).image();
+  ASSERT_TRUE(MerkleTree::Open(Image(image)).ok());
+  for (const std::string& bytes :
+       {image + "x", image.substr(0, image.size() - 1),
+        image.substr(0, image.size() - 32), image + std::string(32, 'n')}) {
+    EXPECT_TRUE(MerkleTree::Open(Image(bytes)).status().IsCorruption())
+        << bytes.size();
+  }
+  // The right size for 11 leaves, but a header claiming 10 or 12.
+  for (uint64_t claimed : {10, 12}) {
+    std::string forged;
+    PutFixed64(&forged, claimed);
+    forged += image.substr(8);
+    EXPECT_TRUE(MerkleTree::Open(Image(forged)).status().IsCorruption())
+        << claimed;
+  }
+}
+
+TEST(MerkleTest, OpenRejectsLeafCountThatWouldOverflow) {
+  // 2^58 + 1 leaves make 2^59 + 59 nodes, whose 32-byte size wraps a 64-bit
+  // count to exactly 59 nodes: a size check that multiplied before bounding
+  // the count would accept this 59-node image.
+  for (uint64_t claimed : {(uint64_t{1} << 58) + 1, UINT64_MAX}) {
+    std::string forged;
+    PutFixed64(&forged, claimed);
+    forged.append(59 * 32, '\0');
+    EXPECT_TRUE(MerkleTree::Open(Image(forged)).status().IsCorruption())
+        << claimed;
+  }
 }
 
 TEST(MerkleTest, SingleLeafRootIsLeaf) {

@@ -594,7 +594,7 @@ TEST(ReadCacheLifecycleTest, ObsoleteFilePurgeEvictsBufferAndTreeHandles) {
   EXPECT_GT(store.read_cache_stats().misses, 0u);
   // Each sidecar handle hangs on its level; watch generation 0's without
   // pinning the snapshot that owns them.
-  std::vector<std::weak_ptr<lsm::LevelAttachment>> gen0_sidecars;
+  std::vector<std::weak_ptr<lsm::Attachment>> gen0_sidecars;
   {
     const auto gen0 = store.engine().current_version();
     for (const auto& level : gen0->levels()) {
