@@ -152,9 +152,10 @@ int main() {
                 "(acceptance: <= ~5x)\n",
                 ratio);
     // The raw us_wall rows are machine-dependent, but this ratio is the
-    // fsync amortization factor itself — comparable across machines, so
-    // compare_bench.py gates on it ("x" unit): a regression here means
-    // cohorts stopped forming.
+    // fsync amortization factor itself — comparable across machines. A
+    // regression here means cohorts stopped forming. compare_bench.py
+    // reports it but does not gate it by default: real fsyncs on a shared
+    // disk swing it too widely for its 20% gate.
     ReportRow("group_commit", "amortization", "threads", 8.0, ratio, "x");
   }
   return 0;

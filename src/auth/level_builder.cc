@@ -18,17 +18,17 @@ void RunDigester::Add(const lsm::Record& record, std::string_view core) {
 
 void RunDigester::SealGroup() {
   if (!in_group_ || group_cores_.empty()) return;
-  leaves_.push_back(crypto::ChainDigest(group_cores_));
+  tree_.Add(crypto::ChainDigest(group_cores_));
   group_cores_.clear();
 }
 
 LevelDigest RunDigester::Finish() {
   SealGroup();
   in_group_ = false;
-  enclave_->ChargeHash(leaves_.size() * 64);  // interior nodes, amortized
-  const crypto::MerkleTree tree(std::move(leaves_));
-  leaves_.clear();
-  return LevelDigest{tree.root(), tree.leaf_count()};
+  enclave_->ChargeHash(tree_.leaf_count() * 64);  // interior nodes, amortized
+  const LevelDigest digest{tree_.root(), tree_.leaf_count()};
+  tree_ = crypto::MerkleAccumulator();
+  return digest;
 }
 
 Status SealBuilder::AddGroup(const std::vector<lsm::Record>& group,

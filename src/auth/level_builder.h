@@ -14,6 +14,7 @@
 
 #include "auth/proof.h"
 #include "common/status.h"
+#include "crypto/merkle.h"
 #include "lsm/engine.h"
 #include "sgxsim/enclave.h"
 
@@ -27,8 +28,9 @@ struct LevelDigest {
 // Digest of one sorted run, fed record by record in order (key asc, ts
 // desc) — used to re-authenticate compaction *inputs* against the
 // enclave-held root (Fig. 4 lines 31-33). Per-key chains seal as the key
-// changes, so only the current group's encodings are ever buffered.
-// Finish() builds the Merkle root over the accumulated 32-byte leaves.
+// changes, so only the current group's encodings are ever buffered, and
+// each chain digest folds into a MerkleAccumulator as it seals: no leaf is
+// kept and no tree is built. Finish() returns the root and leaf count.
 class RunDigester {
  public:
   explicit RunDigester(sgx::Enclave* enclave) : enclave_(enclave) {}
@@ -43,7 +45,7 @@ class RunDigester {
   std::string current_key_;
   bool in_group_ = false;
   std::vector<std::string> group_cores_;
-  std::vector<crypto::Hash256> leaves_;
+  crypto::MerkleAccumulator tree_;
 };
 
 // Seal of compaction *output*, fed one merged key group (newest-first) at a

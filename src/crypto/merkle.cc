@@ -1,5 +1,6 @@
 #include "crypto/merkle.h"
 
+#include <bit>
 #include <cstring>
 
 #include "common/coding.h"
@@ -269,6 +270,28 @@ Status MerkleTree::VerifyRange(const std::vector<Hash256>& leaf_hashes,
     return Status::AuthFailure("range proof root mismatch");
   }
   return Status::Ok();
+}
+
+void MerkleAccumulator::Add(const Hash256& leaf) {
+  // Binary carry: each set low bit pairs a complete subtree with the new
+  // one to its right.
+  Hash256 node = leaf;
+  uint32_t h = 0;
+  for (; (leaf_count_ >> h) & 1; ++h) node = HashInterior(pending_[h], node);
+  pending_[h] = node;
+  ++leaf_count_;
+}
+
+Hash256 MerkleAccumulator::root() const {
+  if (leaf_count_ == 0) return kZeroHash;
+  // From the lowest set slot upward: the rightmost subtree is the tree's
+  // carried odd node until a larger subtree to its left pairs with it.
+  uint32_t h = static_cast<uint32_t>(std::countr_zero(leaf_count_));
+  Hash256 node = pending_[h];
+  for (++h; h < MerkleTree::kMaxHeight; ++h) {
+    if ((leaf_count_ >> h) & 1) node = HashInterior(pending_[h], node);
+  }
+  return node;
 }
 
 }  // namespace elsm::crypto

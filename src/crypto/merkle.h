@@ -117,4 +117,23 @@ class MerkleTree {
   uint64_t leaf_count_;
 };
 
+// The root and leaf count of MerkleTree(leaves) for leaves that arrive one
+// at a time, without the tree: each leaf is folded into at most kMaxHeight
+// pending subtree roots, so memory stays constant however many leaves come.
+// It evaluates the same n - 1 interior hashes the tree does.
+class MerkleAccumulator {
+ public:
+  void Add(const Hash256& leaf);
+  // kZeroHash for no leaves, as MerkleTree.
+  Hash256 root() const;
+  uint64_t leaf_count() const { return leaf_count_; }
+
+ private:
+  // Slot h holds the root of a complete 2^h-leaf subtree while bit h of
+  // leaf_count_ is set; the slots' subtrees cover the leaves left to right
+  // from the highest set bit down.
+  std::array<Hash256, MerkleTree::kMaxHeight> pending_{};
+  uint64_t leaf_count_ = 0;
+};
+
 }  // namespace elsm::crypto

@@ -1,7 +1,8 @@
 // Merkle tree tests: membership paths and range proofs across a sweep of
 // tree sizes (property-style via TEST_P), the tree image (the sidecar
-// format) and trees opened from it, adjacency semantics, tamper and
-// malformed-proof rejection, and wire-format round trips.
+// format) and trees opened from it, the root-only accumulator, adjacency
+// semantics, tamper and malformed-proof rejection, and wire-format round
+// trips.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -97,6 +98,24 @@ TEST_P(MerkleSizeTest, EveryPathVerifies) {
                     .ok())
         << "n=" << n << " i=" << i;
   }
+}
+
+TEST_P(MerkleSizeTest, AccumulatorMatchesTheTree) {
+  // Compaction re-authenticates its inputs with the accumulator and checks
+  // the result against roots MerkleTree built.
+  const uint64_t n = GetParam();
+  const std::vector<Hash256> leaves = MakeLeaves(n);
+  MerkleAccumulator acc;
+  for (const Hash256& leaf : leaves) acc.Add(leaf);
+  const MerkleTree tree(leaves);
+  EXPECT_EQ(acc.leaf_count(), tree.leaf_count());
+  EXPECT_EQ(acc.root(), tree.root());
+}
+
+TEST(MerkleAccumulatorTest, EmptyMatchesTheEmptyTree) {
+  const MerkleAccumulator acc;
+  EXPECT_EQ(acc.leaf_count(), 0u);
+  EXPECT_EQ(acc.root(), MerkleTree(std::vector<Hash256>{}).root());
 }
 
 TEST_P(MerkleSizeTest, WrongLeafFailsEveryPath) {
