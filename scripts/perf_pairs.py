@@ -16,8 +16,9 @@ Then, for each workload and end-to-end metric, it prints both sides'
 median and quartiles, how many pairs (same seed) the change won (ties
 count for neither side), and a verdict:
 
-  claim holds   the change won at least 9 of 10 pairs, and the medians
-                differ by more than the parent's interquartile range
+  claim holds   the change won at least 9 of 10 pairs, and its median is
+                better than the parent's by more than the parent's
+                interquartile range
   unresolved    the parent's IQR over its median exceeds the metric's bound,
                 and not every change run beats every parent run
   within bound  the change's median is no worse than the parent's by more
@@ -116,7 +117,8 @@ def judge(parent, change, better, bound):
     worst_change = max(change.values(), key=lambda v: sign * v)
     best_parent = min(parent.values(), key=lambda v: sign * v)
     separated = sign * (worst_change - best_parent) < 0
-    if seeds and wins >= CLAIM_WIN_SHARE * len(seeds) and abs(c_med - p_med) > iqr:
+    if (seeds and wins >= CLAIM_WIN_SHARE * len(seeds)
+            and sign * (p_med - c_med) > iqr):
         return "claim holds", wins, len(seeds)
     if p_med and iqr / abs(p_med) > bound and not separated:
         return "unresolved", wins, len(seeds)
